@@ -29,12 +29,13 @@ lint:
 # The default verify path: vet, the determinism linter, the full suite,
 # the race detector over the two packages that deliver observer
 # callbacks (the netsim leg includes the parallel simulate property
-# tests, so the per-rack domain engine runs under the race detector),
+# tests, so the per-rack domain engine runs under the race detector)
+# and over internal/trace (the live seam and the compression meter),
 # and the parallel-analysis race leg (the task slots of the analyze
 # pipeline must stay disjoint).
 test: vet lint
 	$(GO) test ./...
-	$(GO) test -race ./internal/netsim ./internal/sched
+	$(GO) test -race ./internal/netsim ./internal/sched ./internal/trace
 	$(GO) test -race -run 'TestAnalyzeParallel|TestAnalyzeStream|TestRunAnalyze' ./internal/core
 	$(GO) test -race -run 'TestFleet' ./internal/fleet
 

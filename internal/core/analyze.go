@@ -199,8 +199,16 @@ func WithStreamProgress(fn func(StreamProgress)) AnalyzeOption {
 // functional-options successor of Analyze/AnalyzeContext. It streams
 // the run's records through AnalyzeSource; results are bit-identical
 // to analyzing a written-out trace of the same run.
+//
+// The §2 compression measurement starts here and runs alongside the
+// sweep; a failed analysis stops it before returning.
 func AnalyzeRun(ctx context.Context, rr *RunResult, opts ...AnalyzeOption) (*Report, error) {
-	return AnalyzeSource(ctx, rr.Source(), append([]AnalyzeOption{WithRun(rr)}, opts...)...)
+	rr.Collector.StartCompressionMeter()
+	rep, err := AnalyzeSource(ctx, rr.Source(), append([]AnalyzeOption{WithRun(rr)}, opts...)...)
+	if err != nil {
+		rr.Collector.StopCompressionMeter()
+	}
+	return rep, err
 }
 
 // maxSweepTime seals the window view after the source drains.
@@ -860,8 +868,14 @@ func (a *streamAnalysis) mergeFigures(rep *Report) {
 	if rr := cfg.run; rr != nil {
 		rep.Overhead = rr.Collector.Overhead(a.duration)
 		// Replace the model's compression constant with the ratio
-		// actually achieved on this run's log sample.
-		if ratio, err := rr.Collector.MeasuredCompression(0); err == nil && ratio > 0 {
+		// actually achieved on this run's log sample. The meter has been
+		// compressing since the run or the analysis started; the phase
+		// is how long its tail held up the report.
+		stopWait := a.reg.StartPhase("analyze.compress_wait")
+		ratio, err := rr.Collector.MeasuredCompression()
+		stopWait()
+		a.reg.Counter("trace.compress_records_total").Add(int64(min(rr.Collector.NumRecords(), trace.CompressionSample)))
+		if err == nil && ratio > 0 {
 			rep.Overhead.CompressionRatio = ratio
 			rep.Overhead.UploadBytesPerServerPerDay = rep.Overhead.LogBytesPerServerPerDay / ratio
 		}

@@ -36,7 +36,8 @@ func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
 // on the calling goroutine — the record-derived figures (2, 3/4, 9, 10,
 // 11, the incast record pass) compute while the simulation is still
 // producing, and only the run-derived work (congestion episodes,
-// Figures 5–8, attribution, tomography, overhead) waits for the drain.
+// Figures 5–8, attribution, tomography, the overhead model) waits for
+// the drain. The §2 compression ratio is measured as records complete.
 // End-to-end wall clock approaches max(simulate, analyze) instead of
 // their sum, and the report is bit-identical to Run followed by
 // AnalyzeRun at any worker count on either side (enforced by
@@ -65,6 +66,9 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*Run
 	p.recordSink = live
 	p.rr.Collector.SetSink(live.Emit)
 	live.Instrument(p.o.reg)
+	// The §2 compression meter consumes records as the simulator
+	// completes them; the analysis joins it when it merges the figures.
+	p.rr.Collector.StartCompressionMeter()
 
 	// Backstop: whatever path exits this function, no producer can stay
 	// blocked in Advance afterwards. No-op when the stream completed.
@@ -90,6 +94,10 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*Run
 		cancelSim()
 	}
 	serr := <-simDone
+	if aerr != nil || serr != nil {
+		// The simulator has exited, so nothing feeds the meter any more.
+		p.rr.Collector.StopCompressionMeter()
+	}
 
 	switch {
 	case aerr == nil && serr == nil:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dctraffic/internal/obs"
+	"dctraffic/internal/trace"
 )
 
 // fusedTestConfig is the shortened simulation the fused tests share.
@@ -162,4 +163,89 @@ func TestRunAnalyzeCancellation(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("fused pipeline did not unwind after cancellation")
 	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base,
+// failing with every goroutine's stack if it does not.
+func settleGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if runtime.NumGoroutine() <= base {
+			return
+		}
+	}
+	buf := make([]byte, 1<<20)
+	t.Fatalf("%s: %d goroutines left, want <= %d:\n%s", what, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+}
+
+// failingSource delivers a few records of rr, then fails.
+type failingSource struct {
+	src trace.Source
+	n   int
+}
+
+func (s *failingSource) Next() (trace.FlowRecord, error) {
+	if s.n == 0 {
+		return trace.FlowRecord{}, errors.New("injected source failure")
+	}
+	s.n--
+	return s.src.Next()
+}
+
+// TestCompressionMeterJoinedOnFailure: the §2 compression meter runs
+// alongside the simulation and the analysis, and every failing exit
+// must join it. A canceled RunAnalyze, a canceled AnalyzeRun (before
+// and during the sweep) and a failed AnalyzeSource leave no goroutine
+// behind, and a run whose analysis failed still reports the
+// same digest when analyzed again.
+func TestCompressionMeterJoinedOnFailure(t *testing.T) {
+	cfg := fusedTestConfig(1)
+	base := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var once sync.Once
+	_, _, err := RunAnalyze(ctx, cfg, WithRunOptions(WithProgress(func(p Progress) {
+		if p.SimTime >= 5*time.Minute {
+			once.Do(cancel)
+		}
+	})))
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled RunAnalyze: got %v, want context.Canceled", err)
+	}
+	settleGoroutines(t, "canceled RunAnalyze", base)
+
+	rr, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := AnalyzeRun(dead, rr); err == nil {
+		t.Fatal("AnalyzeRun on a canceled context: want error")
+	}
+	settleGoroutines(t, "AnalyzeRun on a canceled context", base)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	if _, err := AnalyzeRun(ctx, rr, WithStreamProgress(func(StreamProgress) { cancel() })); err == nil {
+		t.Fatal("AnalyzeRun canceled mid-sweep: want error")
+	}
+	cancel()
+	settleGoroutines(t, "AnalyzeRun canceled mid-sweep", base)
+
+	src := &failingSource{src: rr.Source(), n: 100}
+	if _, err := AnalyzeSource(context.Background(), src, WithRun(rr)); err == nil {
+		t.Fatal("AnalyzeSource on a failing source: want error")
+	}
+	settleGoroutines(t, "AnalyzeSource on a failing source", base)
+
+	got := reportDigest(t, mustAnalyze(t, rr))
+	fresh, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := reportDigest(t, mustAnalyze(t, fresh)); got != want {
+		t.Fatalf("analysis after failed analyses: digest %s != fresh run %s", got, want)
+	}
+	settleGoroutines(t, "successful AnalyzeRun", base)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dctraffic/internal/obs"
+	"dctraffic/internal/trace"
 )
 
 func TestShardRangesPartition(t *testing.T) {
@@ -213,7 +214,7 @@ func TestAnalyzeObserverPhases(t *testing.T) {
 	for _, p := range snap.Phases {
 		phases[p.Name] = true
 	}
-	for _, want := range []string{"analyze.index", "analyze.figures", "analyze.congestion"} {
+	for _, want := range []string{"analyze.index", "analyze.figures", "analyze.compress_wait", "analyze.congestion"} {
 		if !phases[want] {
 			t.Fatalf("missing phase %q in %+v", want, snap.Phases)
 		}
@@ -229,5 +230,9 @@ func TestAnalyzeObserverPhases(t *testing.T) {
 	}
 	if recordsTotal <= 0 || tasksTotal <= 0 {
 		t.Fatalf("pipeline counters missing: records=%v tasks=%v", recordsTotal, tasksTotal)
+	}
+	want := float64(min(len(rr.Records()), trace.CompressionSample))
+	if got := snap.Value("trace.compress_records_total"); got != want {
+		t.Fatalf("trace.compress_records_total = %v, want %v", got, want)
 	}
 }

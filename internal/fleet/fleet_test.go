@@ -257,3 +257,35 @@ func TestEstimatePeakMBDeterministicAndMonotone(t *testing.T) {
 		t.Fatal("bigger cluster must estimate more memory")
 	}
 }
+
+// TestFleetFailedAnalysisLeavesNoGoroutine: a run whose analysis fails
+// mid-sweep (its context is canceled from the analysis progress hook)
+// fails alone in its outcome, and the executor returns with every
+// goroutine it started joined — the pool's workers, each run's
+// simulator and its compression meter.
+func TestFleetFailedAnalysisLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	res, err := Execute(ctx, testSpecs()[:1], Options{
+		MaxHeapMB: -1,
+		AnalyzeOpts: []core.AnalyzeOption{core.WithStreamProgress(func(p core.StreamProgress) {
+			if p.Time >= 10*time.Minute {
+				once.Do(cancel)
+			}
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 1 || res.Outcomes[0].Err == nil {
+		t.Fatalf("Failed = %d, outcome err %v; want the run to fail", res.Failed, res.Outcomes[0].Err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines left, want <= %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}

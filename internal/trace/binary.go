@@ -35,6 +35,9 @@ const (
 type BinaryWriter struct {
 	bw *bufio.Writer
 	n  int
+	// buf is the framing scratch: a stack array would escape through
+	// bufio.Writer.Write and cost one allocation per record.
+	buf [binaryFramedRecBuf]byte
 }
 
 // NewBinaryWriter writes the format header and returns a record writer
@@ -53,8 +56,8 @@ func NewBinaryWriter(w io.Writer) (*BinaryWriter, error) {
 
 // Write appends one record to the stream.
 func (w *BinaryWriter) Write(rec *FlowRecord) error {
-	var buf [binaryFramedRecBuf]byte
-	n := binary.PutUvarint(buf[:], binaryRecordLen)
+	buf := w.buf[:]
+	n := binary.PutUvarint(buf, binaryRecordLen)
 	p := buf[n : n+binaryRecordLen]
 	le := binary.LittleEndian
 	le.PutUint64(p[0:], uint64(rec.ID))

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
@@ -126,6 +127,15 @@ type Collector struct {
 	// sink, when set, receives each record as it is appended (see
 	// SetSink).
 	sink func(FlowRecord)
+
+	// meter measures the §2 compression ratio (StartCompressionMeter).
+	// meterMu serializes its start, join and stop, and stays held while
+	// a join or stop waits for the meter goroutine, which never takes it:
+	// a stop that races a join then waits for the result instead of
+	// voiding it. FlowEnded feeds the meter unlocked, because a meter is
+	// started only before or after the run.
+	meterMu sync.Mutex
+	meter   *compressMeter
 }
 
 // NewCollector builds a collector for the topology.
@@ -178,6 +188,9 @@ func (c *Collector) FlowEnded(f *netsim.Flow) {
 	}
 	c.records = append(c.records, rec)
 	c.metRecords.Inc()
+	if c.meter != nil {
+		c.meter.feed(rec)
+	}
 	if c.sink != nil {
 		c.sink(rec)
 	}
@@ -277,19 +290,56 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// MeasuredCompression gzip-compresses a sample of the collected records
-// (up to limit; 0 means 100k) and returns the achieved ratio, grounding
-// the §2 "at least 3x" claim in this run's data. Returns 0 with no error
-// when nothing was collected.
-func (c *Collector) MeasuredCompression(limit int) (float64, error) {
-	if limit <= 0 {
-		limit = 100_000
+// StartCompressionMeter starts measuring the §2 compression ratio of
+// the first CompressionSample records on a goroutine of its own: the
+// records already collected are handed over at once, and FlowEnded
+// feeds later ones in completion order without blocking. Call it before
+// the run starts or after it ends, never while it runs. A meter that is
+// already started, or has finished, is kept.
+func (c *Collector) StartCompressionMeter() {
+	c.meterMu.Lock()
+	defer c.meterMu.Unlock()
+	c.startMeterLocked()
+}
+
+func (c *Collector) startMeterLocked() {
+	if c.meter == nil {
+		c.meter = newCompressMeter()
+		c.meter.feedLog(c.records)
 	}
-	recs := c.records
-	if len(recs) > limit {
-		recs = recs[:limit]
+}
+
+// MeasuredCompression returns the gzip ratio achieved on the first
+// CompressionSample collected records, grounding the §2 "at least 3x"
+// claim in this run's data. It joins the meter (starting one if none
+// runs), so call it after the run; every later call returns the same
+// value. The ratio is 0 with no error when nothing was collected.
+func (c *Collector) MeasuredCompression() (float64, error) {
+	c.meterMu.Lock()
+	defer c.meterMu.Unlock()
+	c.startMeterLocked()
+	c.meter.closeFeed()
+	<-c.meter.done
+	return c.meter.ratio, c.meter.err
+}
+
+// StopCompressionMeter abandons an unfinished measurement and waits for
+// the meter goroutine to exit; a finished one is kept. It is the
+// cleanup of a failed analysis and, like StartCompressionMeter, must
+// not run concurrently with the run.
+func (c *Collector) StopCompressionMeter() {
+	c.meterMu.Lock()
+	defer c.meterMu.Unlock()
+	m := c.meter
+	if m == nil {
+		return
 	}
-	return MeasureCompression(recs)
+	m.stopped.Store(true)
+	m.closeFeed()
+	<-m.done
+	if m.err != nil {
+		c.meter = nil
+	}
 }
 
 // Writer streams flow records to an io.Writer one JSON line at a time
