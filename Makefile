@@ -28,11 +28,11 @@ lint:
 
 # The default verify path: vet, the determinism linter, the full suite,
 # the race detector over the two packages that deliver observer
-# callbacks (the netsim leg includes the parallel simulate property
-# tests, so the per-rack domain engine runs under the race detector)
+# callbacks (the netsim leg runs the golden-digest simulate workloads)
 # and over internal/trace (the live seam and the compression meter),
-# and the parallel-analysis race leg (the task slots of the analyze
-# pipeline must stay disjoint).
+# the parallel-analysis race leg (the task slots of the analyze
+# pipeline must stay disjoint), and the fleet race leg (concurrent
+# pipelines sharing the admission gate and the topology cache).
 test: vet lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/netsim ./internal/sched ./internal/trace

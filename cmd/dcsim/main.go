@@ -24,20 +24,7 @@ import (
 	"time"
 
 	"dctraffic"
-	"dctraffic/internal/obs"
 )
-
-// bucketQuantile renders the upper bound of the cumulative-histogram
-// bucket containing quantile q ("∞" past the last finite bound).
-func bucketQuantile(h obs.Series, q float64) string {
-	target := int64(q * float64(h.Count))
-	for _, b := range h.Buckets {
-		if b.Count >= target {
-			return fmt.Sprintf("%.0f", b.LE)
-		}
-	}
-	return "∞"
-}
 
 func main() {
 	racks := flag.Int("racks", 8, "number of racks")
@@ -48,8 +35,6 @@ func main() {
 	jobsPerHour := flag.Float64("jobs", 0, "job arrivals per hour (0 = scale with cluster)")
 	out := flag.String("out", "trace.jsonl", "output flow-record file (- for stdout)")
 	full := flag.Bool("full-recompute", false, "disable the incremental allocator (A/B timing; results are identical)")
-	workers := flag.Int("workers", 0, "simulate worker goroutines for the per-rack domain engine (0 = GOMAXPROCS; results are identical at any count)")
-	seq := flag.Bool("seq", false, "force the sequential reference event loop (A/B determinism; results are identical)")
 	progress := flag.Bool("progress", false, "print a status line per simulated 10 minutes")
 	metrics := flag.String("metrics", "", "write the final metrics snapshot (JSON) to this file")
 	noMetrics := flag.Bool("no-metrics", false, "disable metrics collection entirely (A/B determinism; results are identical)")
@@ -70,8 +55,6 @@ func main() {
 	}
 	cfg.Sched.Seed = *seed
 	cfg.FullRecompute = *full
-	cfg.Workers = *workers
-	cfg.Sequential = *seq
 
 	if *pprofAddr != "" {
 		go func() {
@@ -124,21 +107,6 @@ func main() {
 	o := rr.Collector.Overhead(cfg.Duration)
 	fmt.Fprintf(os.Stderr, "instrumentation: %.2f%% cpu, %.2f%% disk, %.2f GB logs/server/day\n",
 		o.MedianCPUPct, o.MedianDiskPct, o.LogBytesPerServerPerDay/1e9)
-	if *progress && rr.Metrics != nil {
-		m := rr.Metrics
-		mode := "parallel"
-		if *seq {
-			mode = "sequential"
-		}
-		fmt.Fprintf(os.Stderr, "domain engine: %s  domains %.0f  workers %.0f  windows %.0f  barrier waits %.0f\n",
-			mode,
-			m.Value("netsim.parallel.domains"), m.Value("netsim.parallel.workers"),
-			m.Value("netsim.parallel.windows_total"), m.Value("netsim.parallel.barrier_waits_total"))
-		if h, ok := m.Get("netsim.parallel.crossdomain_events_window"); ok && h.Count > 0 {
-			fmt.Fprintf(os.Stderr, "cross-domain events/window: mean %.2f  p50 ≤%s  p99 ≤%s\n",
-				h.Sum/float64(h.Count), bucketQuantile(h, 0.50), bucketQuantile(h, 0.99))
-		}
-	}
 	if metricsFile != nil {
 		if err := metricsFile.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "dcsim:", err)

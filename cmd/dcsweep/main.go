@@ -1,8 +1,8 @@
 // dcsweep runs a sweep of simulate+analyze pipelines — seeds × fabrics
-// over one topology/duration — concurrently on the fleet executor: one
-// shared worker pool spans every run's simulator phases and analysis
-// tasks, and an admission gate caps in-flight runs by estimated peak
-// heap (derived from GOMEMLIMIT unless -max-heap-mb overrides it).
+// over one topology/duration — concurrently on the fleet executor: up
+// to -n runs in flight, one goroutine each, and an admission gate caps
+// in-flight runs by estimated peak heap (derived from GOMEMLIMIT unless
+// -max-heap-mb overrides it).
 // Per-run reports are bit-identical to standalone dcanalyze -fused at
 // any concurrency; the per-run digest in the manifest is the proof
 // handle.
@@ -35,7 +35,6 @@ func main() {
 	fabrics := flag.String("fabrics", "tree", "comma-separated fabrics to sweep: tree, multipath")
 	paper := flag.Bool("paper", false, "use the paper-scale configuration (75 racks x 20 servers, 24h) instead of -racks/-servers/-duration")
 	concurrency := flag.Int("n", 0, "pipelines in flight (0 = GOMAXPROCS)")
-	poolWorkers := flag.Int("pool", 0, "shared worker-pool size across all runs (0 = GOMAXPROCS)")
 	maxHeapMB := flag.Int("max-heap-mb", 0, "in-flight estimated-heap budget in MiB (0 = 80% of GOMEMLIMIT when set, negative = no gate)")
 	metricsOut := flag.String("metrics", "", "write the merged fleet metrics snapshot (fleet.* + per-run runN.* + cross-run rollup) to this file")
 	jsonOut := flag.String("json", "", "write the machine-readable sweep manifest (config, digest, timing, peak-buffered per run) to this file")
@@ -50,7 +49,6 @@ func main() {
 
 	opts := fleet.Options{
 		Concurrency: *concurrency,
-		PoolWorkers: *poolWorkers,
 		MaxHeapMB:   *maxHeapMB,
 	}
 	if *progress {
@@ -73,9 +71,9 @@ func main() {
 	}
 	wall := time.Since(sw).Seconds()
 
-	fmt.Printf("sweep: %d runs, concurrency %.0f, pool %.0f, budget %.0f MiB, %.1fs wall\n",
+	fmt.Printf("sweep: %d runs, concurrency %.0f, budget %.0f MiB, %.1fs wall\n",
 		len(res.Outcomes), res.Metrics.Value("fleet.concurrency"),
-		res.Metrics.Value("fleet.pool.workers"), res.Metrics.Value("fleet.budget_mb"), wall)
+		res.Metrics.Value("fleet.budget_mb"), wall)
 	fmt.Printf("%-5s %-24s %-14s %9s %10s %9s %7s %s\n",
 		"idx", "name", "digest", "wall_s", "records", "peak_buf", "est_mb", "status")
 	for _, o := range res.Outcomes {
@@ -200,7 +198,6 @@ type manifestRun struct {
 
 type manifest struct {
 	Concurrency int           `json:"concurrency"`
-	PoolWorkers int           `json:"pool_workers"`
 	BudgetMB    int           `json:"budget_mb"`
 	WallSeconds float64       `json:"wall_seconds"`
 	Failed      int           `json:"failed"`
@@ -210,7 +207,6 @@ type manifest struct {
 func writeManifest(path string, res *fleet.Result, wall float64) error {
 	m := manifest{
 		Concurrency: int(res.Metrics.Value("fleet.concurrency")),
-		PoolWorkers: int(res.Metrics.Value("fleet.pool.workers")),
 		BudgetMB:    int(res.Metrics.Value("fleet.budget_mb")),
 		WallSeconds: wall,
 		Failed:      res.Failed,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 
 	"dctraffic/internal/congestion"
@@ -43,11 +44,6 @@ type analyzeConfig struct {
 	live    *trace.LiveSource
 	liveCap int
 	runOpts []RunOption
-
-	// exec, when non-nil, runs analysis tasks on a caller-provided
-	// shared pool instead of per-analysis goroutines (see
-	// WithTaskExecutor).
-	exec netsim.Executor
 }
 
 // WithRun supplies the run whose trace is being analyzed: its topology
@@ -76,23 +72,10 @@ func WithDuration(d netsim.Time) AnalyzeOption {
 }
 
 // WithParallelism bounds the analysis worker goroutines. 0 means
-// runtime.GOMAXPROCS(0), clamped to 1 on a single-proc box (see
-// defaultParallelism). Any value yields bit-identical results (see
+// runtime.GOMAXPROCS(0). Any value yields bit-identical results (see
 // parallel.go's determinism contract).
 func WithParallelism(n int) AnalyzeOption {
 	return func(c *analyzeConfig) { c.Parallelism = n }
-}
-
-// WithTaskExecutor runs analysis tasks on a caller-provided shared
-// executor instead of goroutines this analysis owns — the seam the
-// fleet batch executor uses to schedule many concurrent pipelines over
-// one core budget. The parallelism bound still applies per analysis
-// (at most Parallelism tasks in flight, preserving the O(window)
-// memory bound), and results stay bit-identical: tasks keep their
-// disjoint slots and the coordinator still merges in submission order.
-// Ignored when the effective parallelism is 1.
-func WithTaskExecutor(ex netsim.Executor) AnalyzeOption {
-	return func(c *analyzeConfig) { c.exec = ex }
 }
 
 // WithSequential forces Parallelism 1 — the debugging escape hatch.
@@ -396,7 +379,7 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 		workers = 1
 	}
 	if workers <= 0 {
-		workers = defaultParallelism()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	reg := cfg.Observer
 
@@ -416,7 +399,7 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 	stopIndex()
 	reg.Gauge("analyze.workers").Set(float64(workers))
 	a.taskCnt = reg.Counter("analyze.tasks_total")
-	a.pool = newStreamPoolExec(ctx, workers, cfg.exec)
+	a.pool = newStreamPool(ctx, workers)
 
 	stopFigures := reg.StartPhase("analyze.figures")
 	if err := a.sweep(ctx); err != nil {

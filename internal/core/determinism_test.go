@@ -43,14 +43,14 @@ func traceDigest(t *testing.T) string {
 
 // The determinism invariant must hold across parallelism settings, not
 // just across repeated runs: the simulator is specified to be a pure
-// function of its seed, so GOMAXPROCS=1 and GOMAXPROCS=NumCPU must
-// produce byte-identical trace digests — and so must every simulate
-// worker count, against the Sequential reference loop. This is the
-// regression guard for anyone introducing scheduler-ordered work
-// (dctlint's floatsum analyzer is the static half of the same contract).
+// function of its seed, and the analysis pool and the fused seam still
+// run concurrently, so GOMAXPROCS=1 and GOMAXPROCS=NumCPU must produce
+// byte-identical trace digests. This is the regression guard for anyone
+// introducing scheduler-ordered work (dctlint's floatsum analyzer is the
+// static half of the same contract).
 func TestCrossGOMAXPROCSDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("many full shortened simulations")
+		t.Skip("two full shortened simulations")
 	}
 	prev := runtime.GOMAXPROCS(1)
 	serial := traceDigest(t)
@@ -60,43 +60,45 @@ func TestCrossGOMAXPROCSDeterminism(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("trace digest differs across GOMAXPROCS:\n  GOMAXPROCS=1:      %s\n  GOMAXPROCS=NumCPU: %s", serial, parallel)
 	}
+}
 
-	// Simulate-phase worker matrix: {1, 2, NumCPU} workers × 2 seeds,
-	// each against the Sequential reference loop.
-	for _, seed := range []uint64{1, 5} {
+// TestRunDigestGoldens pins whole runs absolutely: digestRun (every
+// trace record plus the analysis report) of two 15-minute SmallRun
+// seeds and a 10-minute PaperRun on the 75-rack fabric must reproduce
+// recorded digests, so a change that moves every code path at once
+// cannot pass unnoticed. The digests hash exact float bits; they are
+// recorded for linux/amd64 only, because the Go compiler may fuse
+// multiply-adds on other architectures, which changes rounding.
+func TestRunDigestGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three shortened simulations, one at paper scale")
+	}
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are recorded on linux/amd64; %s/%s may fuse multiply-adds, which changes float rounding",
+			runtime.GOOS, runtime.GOARCH)
+	}
+	small := func(seed uint64) RunConfig {
 		cfg := SmallRun()
 		cfg.Duration = 15 * time.Minute
 		cfg.DrainTime = 5 * time.Minute
 		cfg.Seed = seed
 		cfg.Sched.Seed = seed
-		cfg.Sequential = true
-		want := digestRun(t, cfg)
-		for _, w := range []int{1, 2, runtime.NumCPU()} {
-			cfg.Sequential = false
-			cfg.Workers = w
-			if got := digestRun(t, cfg); got != want {
-				t.Fatalf("seed %d: workers=%d digest %s != sequential %s", seed, w, got, want)
-			}
+		return cfg
+	}
+	paper := PaperRun()
+	paper.Duration = 10 * time.Minute
+	paper.DrainTime = 5 * time.Minute
+	for _, g := range []struct {
+		name string
+		cfg  RunConfig
+		want string
+	}{
+		{"small-seed1", small(1), "81c1c306f83f514ca10ecefd5ab4c4a31e2b562894f4c60df84bd8d4c6f59453"},
+		{"small-seed5", small(5), "51d75144ee8b00bd84864c9aab04d3a02436e649dcb491c77edde214683a7139"},
+		{"paper-10m", paper, "d54adb656f451601a266394a0ec91209222762bc4e016366979625cac4c9e95e"},
+	} {
+		if got := digestRun(t, g.cfg); got != g.want {
+			t.Errorf("%s: digest %s, want %s", g.name, got, g.want)
 		}
-	}
-}
-
-// TestPaperScaleWorkerDeterminism checks the same contract on the
-// paper-scale topology (75 racks × 20 servers, 10 ms rate batching) over
-// a shortened window: the per-rack domain decomposition must not depend
-// on the fabric size.
-func TestPaperScaleWorkerDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two shortened paper-scale simulations")
-	}
-	cfg := PaperRun()
-	cfg.Duration = 10 * time.Minute
-	cfg.DrainTime = 5 * time.Minute
-	cfg.Sequential = true
-	want := digestRun(t, cfg)
-	cfg.Sequential = false
-	cfg.Workers = 2
-	if got := digestRun(t, cfg); got != want {
-		t.Fatalf("paper-scale: workers=2 digest %s != sequential %s", got, want)
 	}
 }

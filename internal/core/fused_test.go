@@ -23,9 +23,9 @@ func fusedTestConfig(seed uint64) RunConfig {
 
 // TestRunAnalyzeMatchesTwoPhase is the acceptance gate of the fused
 // pipeline: RunAnalyze's report must be bit-identical to the two-phase
-// simulate → materialize → analyze path, across seeds, GOMAXPROCS, the
-// simulator's worker count, and the analyzer's worker count — including
-// a leg with a tiny live buffer that forces backpressure stalls.
+// simulate → materialize → analyze path, across seeds, GOMAXPROCS and
+// the analyzer's worker count — including legs with a tiny live buffer
+// that forces backpressure stalls.
 func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a matrix of full simulations")
@@ -39,30 +39,31 @@ func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 		want := reportDigest(t, mustAnalyze(t, rr, WithSequential()))
 
 		prev := runtime.GOMAXPROCS(0)
-		matrix := [][2]int{{1, 1}, {1, runtime.NumCPU()}, {runtime.NumCPU(), 1}, {runtime.NumCPU(), runtime.NumCPU()}}
+		type leg struct {
+			gmp     int
+			liveCap int // 0 = default live buffer
+		}
+		// A 256-record FIFO guarantees the simulator blocks on the
+		// analyzer repeatedly; results must not change.
+		matrix := []leg{{1, 256}, {1, 0}, {runtime.NumCPU(), 256}, {runtime.NumCPU(), 0}}
 		if seed != 1 {
-			matrix = [][2]int{{runtime.NumCPU(), runtime.NumCPU()}} // cross-seed spot check
+			matrix = []leg{{runtime.NumCPU(), 0}} // cross-seed spot check
 		}
 		for _, m := range matrix {
-			gmp, simWorkers := m[0], m[1]
-			runtime.GOMAXPROCS(gmp)
-			fcfg := cfg
-			fcfg.Workers = simWorkers
+			runtime.GOMAXPROCS(m.gmp)
 			opts := []AnalyzeOption{WithParallelism(8)}
-			if simWorkers == 1 {
-				// A 256-record FIFO guarantees the simulator blocks on the
-				// analyzer repeatedly; results must not change.
-				opts = append(opts, WithLiveBuffer(256))
+			if m.liveCap > 0 {
+				opts = append(opts, WithLiveBuffer(m.liveCap))
 			}
-			_, rep, err := RunAnalyze(context.Background(), fcfg, opts...)
+			_, rep, err := RunAnalyze(context.Background(), cfg, opts...)
 			if err != nil {
 				runtime.GOMAXPROCS(prev)
-				t.Fatalf("seed %d GOMAXPROCS=%d workers=%d: %v", seed, gmp, simWorkers, err)
+				t.Fatalf("seed %d GOMAXPROCS=%d live buffer %d: %v", seed, m.gmp, m.liveCap, err)
 			}
 			if got := reportDigest(t, rep); got != want {
 				runtime.GOMAXPROCS(prev)
-				t.Fatalf("seed %d GOMAXPROCS=%d workers=%d: fused digest %s != two-phase %s",
-					seed, gmp, simWorkers, got, want)
+				t.Fatalf("seed %d GOMAXPROCS=%d live buffer %d: fused digest %s != two-phase %s",
+					seed, m.gmp, m.liveCap, got, want)
 			}
 		}
 		runtime.GOMAXPROCS(prev)

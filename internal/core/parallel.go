@@ -2,148 +2,48 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"dctraffic/internal/netsim"
 )
-
-// defaultParallelism resolves a zero Parallelism option: GOMAXPROCS,
-// clamped to 1 on a single-proc box so the streaming pool (and its
-// channel handoffs) is never spun up when there is no parallelism to
-// buy with it. Mirrors netsim.DefaultWorkers; an explicit
-// WithParallelism is always honored unchanged.
-func defaultParallelism() int {
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		return p
-	}
-	return 1
-}
 
 // The analysis pipeline's determinism contract, in three rules:
 //
-//  1. Decomposition is data-driven. Shard counts and window boundaries
-//     are functions of the input size only — never of the worker count —
-//     so the same record set always produces the same task graph.
+//  1. Decomposition is data-driven. Chunk sizes and window boundaries
+//     are functions of the input only — never of the worker count — so
+//     the same record set always produces the same task graph.
 //  2. Tasks own their output slots. Every task writes results into a
-//     pre-sized slot indexed by its shard/window number; no two tasks
+//     pre-sized slot indexed by its chunk/window number; no two tasks
 //     share a mutable location, so scheduling order cannot race or
 //     reorder anything.
-//  3. Merges are single-goroutine and fixed-order. After a task group
-//     completes, the coordinator reduces the slots in slot order. All
-//     float accumulation happens there (or inside one task over the
-//     canonical record order), never across goroutines.
+//  3. Merges are single-goroutine and fixed-order. The coordinator
+//     reduces the slots in submission order. All float accumulation
+//     happens there (or inside one task over the canonical record
+//     order), never across goroutines.
 //
 // Under these rules the worker count only decides how many tasks run at
-// once — Parallelism: 1 executes the identical sharded algorithm on one
-// goroutine — so Analyze output is bit-identical at any parallelism.
+// once — Parallelism: 1 executes the identical windowed algorithm on
+// one goroutine — so analysis output is bit-identical at any
+// parallelism.
 
-// task is one independent unit of analysis work. fn must touch only the
-// task's own result slot plus immutable shared state (the record view,
-// topology, link stats, episode index).
-type task struct {
-	name string
-	fn   func()
-}
-
-// runTasks executes tasks on up to workers goroutines and waits for all
-// of them. Tasks are claimed by atomic counter, so completion order is
-// nondeterministic — which is fine, because merging happens afterwards
-// on the caller's goroutine (rule 3 above). A task panic is re-raised
-// on the caller once the group drains. Cancellation stops workers from
-// claiming further tasks and reports ctx.Err().
-func runTasks(ctx context.Context, workers int, tasks []task) error {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			t.fn()
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var panicked atomic.Value
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicked.CompareAndSwap(nil, p)
-				}
-			}()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				tasks[i].fn()
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p)
-	}
-	return ctx.Err()
-}
-
-// shardRanges splits n items into [lo, hi) ranges of roughly target
-// items each, capped at maxShards ranges. The shard count depends only
-// on n and target (rule 1), so per-shard partial results and their
-// fixed-order merge are reproducible at any worker count.
-func shardRanges(n, target, maxShards int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if target <= 0 {
-		target = 1
-	}
-	k := (n + target - 1) / target
-	if k < 1 {
-		k = 1
-	}
-	if k > maxShards {
-		k = maxShards
-	}
-	out := make([][2]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = [2]int{i * n / k, (i + 1) * n / k}
-	}
-	return out
-}
-
-// recordShardTarget sizes record shards (Fig 7 join, attribution,
-// Fig 9 CDFs): big enough that per-shard overhead is noise, small
-// enough that a paper-scale run (~2M records) fans out well. The
-// streaming pipeline uses the same constant as its chunk size, so at
-// trace scale a chunk task costs the same as a shard task did.
+// recordShardTarget is the streaming pipeline's record-chunk size (the
+// Fig 7 join, attribution and Fig 9 CDF tasks): big enough that
+// per-chunk overhead is noise, small enough that a paper-scale run
+// (~2M records) fans out well.
 const recordShardTarget = 1 << 17
 
-// maxRecordShards bounds the fan-out (and the slot arrays).
-const maxRecordShards = 32
-
 // streamPool runs figure-window and record-chunk tasks for the
-// streaming pipeline. Unlike runTasks it accepts work incrementally —
-// tasks are submitted as the sweep closes windows — but the same
-// three-rule contract applies: every submitted task writes one
-// pre-sized slot, and the coordinator merges completed slots in
-// submission order via the per-task done channels (the "ready prefix"),
-// never in completion order. The task channel's small buffer is the
-// pipeline's backpressure: a slow pool blocks the sweep, bounding
-// in-flight window copies and unmerged slots by O(workers), which is
-// what keeps streaming analysis memory O(window).
+// streaming pipeline. It accepts work incrementally — tasks are
+// submitted as the sweep closes windows — under the three-rule
+// contract: every submitted task writes one pre-sized slot, and the
+// coordinator merges completed slots in submission order via the
+// per-task done channels (the "ready prefix"), never in completion
+// order. The task channel's small buffer is the pipeline's
+// backpressure: a slow pool blocks the sweep, bounding in-flight window
+// copies and unmerged slots by O(workers), which is what keeps
+// streaming analysis memory O(window).
 type streamPool struct {
 	ctx    context.Context
 	seq    bool
-	exec   netsim.Executor // external shared pool; nil → own goroutines
-	sem    chan struct{}   // exec mode: caps in-flight tasks at workers
 	tasks  chan func()
 	wg     sync.WaitGroup
 	failed atomic.Pointer[poolPanic]
@@ -156,25 +56,9 @@ type poolPanic struct{ val any }
 // newStreamPool starts workers goroutines (none when workers <= 1:
 // submit then runs tasks inline, the sequential reference path).
 func newStreamPool(ctx context.Context, workers int) *streamPool {
-	return newStreamPoolExec(ctx, workers, nil)
-}
-
-// newStreamPoolExec is newStreamPool with an optional external
-// executor. With exec non-nil the pool owns no goroutines: submit hands
-// tasks to exec and a semaphore caps in-flight tasks at workers, so the
-// O(window) backpressure bound is identical to the own-goroutine mode —
-// a saturated pool still blocks the sweep. The ready-prefix merge
-// contract is unchanged (done channels close per task, merges happen on
-// the coordinator), so results are bit-identical across modes.
-func newStreamPoolExec(ctx context.Context, workers int, exec netsim.Executor) *streamPool {
 	p := &streamPool{ctx: ctx}
 	if workers <= 1 {
 		p.seq = true
-		return p
-	}
-	if exec != nil {
-		p.exec = exec
-		p.sem = make(chan struct{}, workers)
 		return p
 	}
 	p.tasks = make(chan func(), workers)
@@ -206,18 +90,9 @@ func (p *streamPool) submit(fn func()) <-chan struct{} {
 			fn()
 		}
 	}
-	switch {
-	case p.seq:
+	if p.seq {
 		wrapped()
-	case p.exec != nil:
-		p.sem <- struct{}{} // backpressure: blocks at workers in flight
-		p.wg.Add(1)
-		p.exec.Go(func() {
-			defer p.wg.Done()
-			defer func() { <-p.sem }()
-			wrapped()
-		})
-	default:
+	} else {
 		p.tasks <- wrapped
 	}
 	return done
@@ -228,11 +103,7 @@ func (p *streamPool) submit(fn func()) <-chan struct{} {
 func (p *streamPool) wait() error {
 	if !p.waited {
 		p.waited = true
-		switch {
-		case p.seq:
-		case p.exec != nil:
-			p.wg.Wait()
-		default:
+		if !p.seq {
 			close(p.tasks)
 			p.wg.Wait()
 		}

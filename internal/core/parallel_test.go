@@ -2,96 +2,13 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"dctraffic/internal/obs"
 	"dctraffic/internal/trace"
 )
-
-func TestShardRangesPartition(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100, 1 << 17, 1<<17 + 1, 10_000_000} {
-		ranges := shardRanges(n, recordShardTarget, maxRecordShards)
-		if n == 0 {
-			if ranges != nil {
-				t.Fatalf("n=0: want nil, got %v", ranges)
-			}
-			continue
-		}
-		if len(ranges) > maxRecordShards {
-			t.Fatalf("n=%d: %d shards exceeds cap", n, len(ranges))
-		}
-		next := 0
-		for _, r := range ranges {
-			if r[0] != next {
-				t.Fatalf("n=%d: gap or overlap at %v (expected lo %d)", n, r, next)
-			}
-			next = r[1]
-		}
-		if next != n {
-			t.Fatalf("n=%d: shards cover [0,%d)", n, next)
-		}
-	}
-	// The decomposition is a function of the input size only — the
-	// determinism contract's rule 1.
-	a := shardRanges(1_000_000, recordShardTarget, maxRecordShards)
-	b := shardRanges(1_000_000, recordShardTarget, maxRecordShards)
-	if len(a) != len(b) {
-		t.Fatal("same input, different shard count")
-	}
-}
-
-func TestRunTasksExecutesAll(t *testing.T) {
-	for _, workers := range []int{1, 4, 64} {
-		done := make([]int32, 100)
-		tasks := make([]task, len(done))
-		for i := range tasks {
-			i := i
-			tasks[i] = task{fmt.Sprintf("t%d", i), func() { atomic.AddInt32(&done[i], 1) }}
-		}
-		if err := runTasks(context.Background(), workers, tasks); err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range done {
-			if v != 1 {
-				t.Fatalf("workers=%d: task %d ran %d times", workers, i, v)
-			}
-		}
-	}
-}
-
-func TestRunTasksPanicPropagates(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				if p := recover(); p != "boom" {
-					t.Fatalf("workers=%d: recovered %v, want boom", workers, p)
-				}
-			}()
-			_ = runTasks(context.Background(), workers, []task{
-				{"ok", func() {}},
-				{"bad", func() { panic("boom") }},
-			})
-			t.Fatalf("workers=%d: no panic", workers)
-		}()
-	}
-}
-
-func TestRunTasksCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := runTasks(ctx, 1, []task{{"t", func() { ran = true }}})
-	if err == nil {
-		t.Fatal("canceled context: want error")
-	}
-	if ran {
-		t.Fatal("task ran after cancellation")
-	}
-}
 
 // reportDigest hashes the headline JSON plus the full rendered Report —
 // every figure slice and map (fmt prints maps key-sorted, so the
@@ -168,27 +85,22 @@ func TestAnalyzeContextCanceled(t *testing.T) {
 	}
 }
 
-// The pipeline's observability: per-stage phases and counters land in
-// the caller's registry, and attaching one does not change results.
-// TestAnalyzeDefaultWorkersClamp pins the analysis side of the
-// default-workers heuristic: at GOMAXPROCS=1 the default parallelism
-// resolves to one worker (no pool goroutines, no channel handoffs) and
-// the report stays bit-identical to the explicit sequential path.
+// TestAnalyzeDefaultWorkersClamp pins the default analysis worker
+// count: at GOMAXPROCS=1 it resolves to one worker (no pool goroutines,
+// no channel handoffs) and the report stays bit-identical to the
+// explicit sequential path.
 func TestAnalyzeDefaultWorkersClamp(t *testing.T) {
 	rr, _ := smallRun(t)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 
-	if got := defaultParallelism(); got != 1 {
-		t.Fatalf("defaultParallelism at GOMAXPROCS=1 = %d, want 1", got)
-	}
 	reg := obs.NewRegistry()
 	rep, err := AnalyzeRun(context.Background(), rr, WithAnalysisObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := reg.Snapshot().Value("analyze.workers"); v != 1 {
-		t.Fatalf("analyze.workers = %v, want 1 (single-proc clamp)", v)
+		t.Fatalf("analyze.workers = %v, want 1 at GOMAXPROCS=1", v)
 	}
 	seqRep, err := AnalyzeRun(context.Background(), rr, WithSequential())
 	if err != nil {
@@ -199,6 +111,8 @@ func TestAnalyzeDefaultWorkersClamp(t *testing.T) {
 	}
 }
 
+// The pipeline's observability: per-stage phases and counters land in
+// the caller's registry, and attaching one does not change results.
 func TestAnalyzeObserverPhases(t *testing.T) {
 	rr, rep := smallRun(t)
 	reg := obs.NewRegistry()

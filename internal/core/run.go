@@ -49,14 +49,8 @@ type RunConfig struct {
 	// identical; the knob exists for validation and A/B timing.
 	FullRecompute bool
 
-	// Workers bounds the goroutines the simulator's per-rack event-
-	// domain engine may use during the simulate phase (0 = GOMAXPROCS).
-	// Results are bit-identical at any worker count.
-	Workers int
-
-	// Sequential forces the simulator's single-goroutine reference
-	// event loop (the A/B path for the parallel engine). Results are
-	// identical; the knob exists for validation and timing.
+	// Deprecated: Sequential has no effect. The simulator always runs
+	// on one goroutine; the field remains for source compatibility.
 	Sequential bool
 
 	Seed uint64
@@ -159,7 +153,6 @@ type runOptions struct {
 	sink          io.Writer
 	reg           *obs.Registry
 	regSet        bool
-	simExec       netsim.Executor
 	top           *topology.Topology
 }
 
@@ -196,16 +189,6 @@ func WithMetricsSink(w io.Writer) RunOption {
 // results are bit-identical either way.
 func WithObserver(reg *obs.Registry) RunOption {
 	return func(o *runOptions) { o.reg = reg; o.regSet = true }
-}
-
-// WithSimExecutor runs the simulator's parallel-engine phase spans on a
-// caller-provided shared executor instead of goroutines the run owns —
-// the seam the fleet batch executor uses to schedule many concurrent
-// runs over one core budget. The per-run worker bound (RunConfig
-// .Workers) still decides span granularity, and results are
-// bit-identical with or without an executor (netsim.Options.Exec).
-func WithSimExecutor(ex netsim.Executor) RunOption {
-	return func(o *runOptions) { o.simExec = ex }
 }
 
 // WithPrebuiltTopology reuses an already-built topology instead of
@@ -294,9 +277,6 @@ func prepareRun(cfg RunConfig, opts ...RunOption) (*preparedRun, error) {
 		StatsBinSize:         cfg.UtilBinSize,
 		MinRecomputeInterval: cfg.RateRecompute,
 		FullRecompute:        cfg.FullRecompute,
-		Workers:              cfg.Workers,
-		Sequential:           cfg.Sequential,
-		Exec:                 o.simExec,
 	})
 	collector := trace.NewCollector(top, cfg.Trace)
 	net.AddObserver(collector)

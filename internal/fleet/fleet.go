@@ -1,12 +1,34 @@
+// Package fleet is the deterministic batch executor: it runs N fused
+// simulate+analyze pipelines (core.RunAnalyze) concurrently under a
+// concurrency cap and one memory budget, and merges their reports and
+// metrics in config order. Each admitted run gets one goroutine, which
+// drives core.RunAnalyze; the goroutines that pipeline starts (its
+// simulator, its analysis pool, its compression meter) are the run's
+// own, and the Go scheduler shares the cores between runs.
+//
+// The three-rule determinism contract of internal/core extends across
+// runs:
+//
+//  1. Runs are independent domains — no shared mutable state. Each run
+//     gets its own registries, collector, RNGs; the only shared objects
+//     are immutable (cached topologies).
+//  2. Per-run outputs are disjoint slots: outcome i is written only by
+//     run i's goroutine, before its completion is signaled.
+//  3. Fleet output is a fixed-order merge keyed by config index, on the
+//     coordinator, after every run completes.
+//
+// Under these rules fleet concurrency and memory budget can only
+// reorder wall-clock execution — every per-run report digest is
+// bit-identical to running that config standalone.
 package fleet
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"dctraffic/internal/core"
-	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
 )
 
@@ -19,16 +41,12 @@ type RunSpec struct {
 }
 
 // Options tunes the executor. The zero value runs every pipeline with
-// defaults: concurrency and pool sized by GOMAXPROCS, memory budget
-// derived from GOMEMLIMIT (none when unlimited).
+// defaults: concurrency sized by GOMAXPROCS, memory budget derived
+// from GOMEMLIMIT (none when unlimited).
 type Options struct {
 	// Concurrency caps the pipelines in flight (0 = GOMAXPROCS,
 	// clamped to the spec count). Admission is in config order.
 	Concurrency int
-
-	// PoolWorkers sizes the shared worker pool spanning every run's
-	// sim spans and analysis tasks (0 = GOMAXPROCS).
-	PoolWorkers int
 
 	// MaxHeapMB caps the summed EstimatePeakMB of in-flight runs.
 	// 0 derives a budget from GOMEMLIMIT via DefaultBudgetMB;
@@ -37,7 +55,7 @@ type Options struct {
 
 	// AnalyzeOpts is appended to every run's RunAnalyze options —
 	// figure knobs, CDF caps and the like. Options that would collide
-	// with the executor's own wiring (WithRunOptions, WithTaskExecutor,
+	// with the executor's own wiring (WithRunOptions,
 	// WithAnalysisObserver) must not be passed here.
 	AnalyzeOpts []core.AnalyzeOption
 
@@ -83,17 +101,17 @@ type Result struct {
 	Metrics *obs.Snapshot
 }
 
-// Execute runs every spec's fused RunAnalyze pipeline under the shared
-// pool and the memory-budget gate, and returns the config-order merge.
-// Per-run failures (including cancellation) land in their outcome's Err
-// and count toward Result.Failed; Execute itself errors only on
-// internal merge failure. Per-run reports are bit-identical to
-// standalone core.RunAnalyze at any concurrency, pool size or budget —
-// see the package contract.
+// Execute runs every spec's fused RunAnalyze pipeline under the
+// concurrency cap and the memory-budget gate, and returns the
+// config-order merge. Per-run failures (including cancellation) land in
+// their outcome's Err and count toward Result.Failed; Execute itself
+// errors only on internal merge failure. Per-run reports are
+// bit-identical to standalone core.RunAnalyze at any concurrency or
+// budget — see the package contract.
 func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error) {
 	conc := opts.Concurrency
 	if conc <= 0 {
-		conc = netsim.DefaultWorkers()
+		conc = runtime.GOMAXPROCS(0)
 	}
 	if conc > len(specs) {
 		conc = len(specs)
@@ -101,17 +119,11 @@ func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error
 	if conc < 1 {
 		conc = 1
 	}
-	poolW := opts.PoolWorkers
-	if poolW <= 0 {
-		poolW = netsim.DefaultWorkers()
-	}
 	budget := opts.MaxHeapMB
 	if budget == 0 {
 		budget = DefaultBudgetMB()
 	}
 
-	pool := NewPool(poolW)
-	defer pool.Close()
 	gate := newMemGate(budget)
 	cache := newTopoCache()
 
@@ -132,7 +144,7 @@ func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error
 		go func(i int, sp RunSpec, est int, waited bool) {
 			defer wg.Done()
 			defer func() { gate.release(est); <-sem }()
-			out := executeOne(ctx, i, sp, pool, cache, opts)
+			out := executeOne(ctx, i, sp, cache, opts)
 			out.EstMB = est
 			out.Waited = waited
 			outcomes[i] = out // disjoint slot, written before wg.Done
@@ -164,9 +176,6 @@ func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error
 	fleetReg.Counter("fleet.runs_total").Add(int64(len(outcomes)))
 	fleetReg.Counter("fleet.runs_failed_total").Add(int64(res.Failed))
 	fleetReg.Gauge("fleet.concurrency").Set(float64(conc))
-	fleetReg.Gauge("fleet.pool.workers").Set(float64(pool.Workers()))
-	fleetReg.Counter("fleet.pool.tasks_total").Add(pool.Tasks())
-	fleetReg.Gauge("fleet.pool.queue_peak").Set(float64(pool.QueuePeak()))
 	fleetReg.Gauge("fleet.budget_mb").Set(float64(max(budget, 0)))
 	fleetReg.Counter("fleet.admission_waits_total").Add(int64(gate.waitCount()))
 	fleetReg.Counter("fleet.topo_cache_hits_total").Add(int64(hits))
@@ -182,10 +191,10 @@ func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error
 	return res, nil
 }
 
-// executeOne runs one spec's pipeline with the shared pool and cached
-// topology injected. Everything it touches is run-local except the pool
-// (results-neutral) and the topology (immutable).
-func executeOne(ctx context.Context, i int, sp RunSpec, pool *Pool, cache *topoCache, opts Options) (out RunOutcome) {
+// executeOne runs one spec's pipeline with the cached topology
+// injected. Everything it touches is run-local except the topology
+// (immutable).
+func executeOne(ctx context.Context, i int, sp RunSpec, cache *topoCache, opts Options) (out RunOutcome) {
 	out = RunOutcome{Index: i, Name: specName(i, sp), Config: sp.Config}
 	sw := obs.NewStopwatch()
 	// Named return: the deferred stamp lands in the returned value.
@@ -193,20 +202,13 @@ func executeOne(ctx context.Context, i int, sp RunSpec, pool *Pool, cache *topoC
 
 	runReg := obs.NewRegistry()
 	aReg := obs.NewRegistry()
-	ropts := []core.RunOption{
-		core.WithObserver(runReg),
-		core.WithSimExecutor(pool),
-	}
 	top, err := cache.get(sp.Config.Topology)
 	if err != nil {
 		out.Err = fmt.Errorf("fleet: run %d (%s): %w", i, out.Name, err)
 		return out
 	}
-	ropts = append(ropts, core.WithPrebuiltTopology(top))
-
 	aopts := append([]core.AnalyzeOption{
-		core.WithRunOptions(ropts...),
-		core.WithTaskExecutor(pool),
+		core.WithRunOptions(core.WithObserver(runReg), core.WithPrebuiltTopology(top)),
 		core.WithAnalysisObserver(aReg),
 	}, opts.AnalyzeOpts...)
 

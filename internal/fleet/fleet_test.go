@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,7 +63,7 @@ func TestFleetMatchesStandalone(t *testing.T) {
 	}{
 		{"conc1", Options{Concurrency: 1, MaxHeapMB: -1}},
 		{"conc2", Options{Concurrency: 2, MaxHeapMB: -1}},
-		{"concNumCPU", Options{Concurrency: runtime.NumCPU(), PoolWorkers: runtime.NumCPU(), MaxHeapMB: -1}},
+		{"concNumCPU", Options{Concurrency: runtime.NumCPU(), MaxHeapMB: -1}},
 		// One run's estimate exceeds the whole budget: every run is
 		// admitted alone, forcing full serialization mid-flight.
 		{"tinyBudget", Options{Concurrency: 2, MaxHeapMB: 1}},
@@ -124,23 +123,19 @@ func TestFleetMatchesStandalone(t *testing.T) {
 	}
 }
 
-// TestFleetRaceSmoke is the race-detector leg for the shared pool: two
-// concurrent pipelines funneling sim spans and analysis tasks through
-// one 2-worker pool. Results are still checked against each other
-// (same seed, same fabric → same digest).
+// TestFleetRaceSmoke is the race-detector leg for the executor: two
+// concurrent pipelines, each with a 2-worker analysis pool, sharing the
+// topology cache and the admission gate. Results are still checked
+// against each other (same seed, same fabric → same digest).
 func TestFleetRaceSmoke(t *testing.T) {
 	specs := []RunSpec{
 		{Name: "a", Config: sweepConfig(1, false)},
 		{Name: "b", Config: sweepConfig(1, false)},
 	}
-	// Explicit worker counts >1 so the executor paths engage even on a
+	// An explicit analysis worker count >1 so the pools start even on a
 	// single-proc box.
-	for i := range specs {
-		specs[i].Config.Workers = 2
-	}
 	res, err := Execute(context.Background(), specs, Options{
 		Concurrency: 2,
-		PoolWorkers: 2,
 		MaxHeapMB:   -1,
 		AnalyzeOpts: []core.AnalyzeOption{core.WithParallelism(2)},
 	})
@@ -184,28 +179,6 @@ func TestFleetEmptySpecs(t *testing.T) {
 	}
 	if len(res.Outcomes) != 0 || res.Failed != 0 {
 		t.Fatalf("got %+v, want empty", res)
-	}
-}
-
-func TestPoolRunsEverything(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var n atomic.Int64
-	var wg sync.WaitGroup
-	const tasks = 500
-	for i := 0; i < tasks; i++ {
-		wg.Add(1)
-		p.Go(func() {
-			n.Add(1)
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	if n.Load() != tasks {
-		t.Fatalf("ran %d tasks, want %d", n.Load(), tasks)
-	}
-	if p.Tasks() != tasks {
-		t.Fatalf("Tasks() = %d, want %d", p.Tasks(), tasks)
 	}
 }
 
@@ -261,8 +234,8 @@ func TestEstimatePeakMBDeterministicAndMonotone(t *testing.T) {
 // TestFleetFailedAnalysisLeavesNoGoroutine: a run whose analysis fails
 // mid-sweep (its context is canceled from the analysis progress hook)
 // fails alone in its outcome, and the executor returns with every
-// goroutine it started joined — the pool's workers, each run's
-// simulator and its compression meter.
+// goroutine it started joined — each run's own, its simulator, its
+// analysis pool's workers and its compression meter.
 func TestFleetFailedAnalysisLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

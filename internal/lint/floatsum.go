@@ -14,7 +14,8 @@ import (
 //     race-free, the *order* of the additions follows the scheduler,
 //     and float addition does not commute in rounding. Contexts come
 //     from the goroutine tracker (goctx.go), so worker-pool task
-//     closures fed to runTasks count, not just `go func(){...}` bodies;
+//     closures fed to a pool runner count, not just `go func(){...}`
+//     bodies;
 //   - accumulation into a slot whose index is not task-derived
 //     (partial[0] += v from every instance is one shared accumulator
 //     wearing slot syntax);

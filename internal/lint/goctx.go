@@ -18,10 +18,11 @@ import (
 //
 //   - the function literal of a `go func(){...}()` statement;
 //   - a named function or method launched directly by a go statement
-//     (`go e.worker(w, c)` — the netsim domain pool's shape);
+//     (`go p.worker(w, c)`, a worker-loop method);
 //   - a worker-pool task closure: a function literal that flows into a
-//     parameter some callee executes on a goroutine (`runTasks`'s tasks
-//     slice — the analysis pipeline's shape). The flow is tracked
+//     parameter some callee executes on a goroutine (the tasks slice of
+//     a `runTasks(workers, tasks)` runner, the shape the testdata
+//     corpora exercise). The flow is tracked
 //     function-locally: literals appearing in the argument expression
 //     itself, plus literals stored — by assignment or append, possibly
 //     wrapped in composite literals — into a local variable that is
@@ -29,8 +30,8 @@ import (
 //
 // "Executed on a goroutine" is itself inferred per package: parameter i
 // of F is goroutine-executed when F's body calls a value rooted at that
-// parameter inside goroutine-reachable code (tasks[i].fn() inside
-// runTasks's worker literal), or passes the parameter on to another
+// parameter inside goroutine-reachable code (tasks[i].fn() inside the
+// runner's worker literal), or passes the parameter on to another
 // function's goroutine-executed parameter. The set is closed by
 // fixed-point iteration over the package, so wrappers around a pool
 // runner inherit its contract.

@@ -70,18 +70,17 @@ func BenchmarkFlowChurnBatched(b *testing.B) {
 	}
 }
 
-// simulateWorkload drives a paper-scale closed-loop churn: flows are 90%
-// rack-local (the paper's work-seeks-bandwidth locality) and completion
-// callbacks chain replacements, under the day-scale 10 ms rate batching.
-// Shared by BenchmarkSimulate and BenchmarkSimulateParallel so the two
-// time exactly the same (bit-identical) simulation.
-func simulateWorkload(b *testing.B, opts Options) {
+// BenchmarkSimulate is the paper-scale simulate phase: DefaultConfig
+// (75 racks × 20 servers) under a churning closed-loop workload of 7500
+// flows, 90% rack-local (the paper's work-seeks-bandwidth locality),
+// whose completion callbacks chain replacements, under the day-scale
+// 10 ms rate batching.
+func BenchmarkSimulate(b *testing.B) {
 	cfg := topology.DefaultConfig()
 	top := topology.MustNew(cfg)
-	opts.MinRecomputeInterval = 10 * time.Millisecond
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n := New(top, opts)
+		n := New(top, Options{MinRecomputeInterval: 10 * time.Millisecond})
 		r := stats.NewRNG(1)
 		spr := cfg.ServersPerRack
 		pair := func() (topology.ServerID, topology.ServerID) {
@@ -113,20 +112,6 @@ func simulateWorkload(b *testing.B, opts Options) {
 			b.Fatalf("flows lost: %d", n.FlowsCompleted())
 		}
 	}
-}
-
-// BenchmarkSimulate is the paper-scale simulate phase on the sequential
-// reference path: DefaultConfig (75 racks × 20 servers) under a churning
-// closed-loop workload of 7500 rack-local-heavy flows.
-func BenchmarkSimulate(b *testing.B) {
-	simulateWorkload(b, Options{Sequential: true})
-}
-
-// BenchmarkSimulateParallel is the identical workload on the per-rack
-// domain engine at the default worker count (GOMAXPROCS). The traces are
-// bit-identical to BenchmarkSimulate; only wall clock may differ.
-func BenchmarkSimulateParallel(b *testing.B) {
-	simulateWorkload(b, Options{})
 }
 
 // BenchmarkMaxMinRecompute isolates the progressive-filling allocation

@@ -82,12 +82,6 @@ type Flow struct {
 	done      func(*Flow)
 	idx       int // index in Network.active, -1 once finished
 
-	// dom is the event domain owning the flow (0 = shared core, r+1 =
-	// rack r; see domain.go); domIdx is its position in that domain's
-	// flow list, kept current by swap-removal (-1 once retired).
-	dom    int32
-	domIdx int32
-
 	// pathBuf backs path so flow creation does not allocate a path slice.
 	pathBuf [topology.MaxPathLen]topology.LinkID
 

@@ -39,25 +39,6 @@ type Options struct {
 	// links with changed flows cannot change under max-min); the knob
 	// exists for validation and A/B timing.
 	FullRecompute bool
-
-	// Workers bounds the goroutines the per-rack event-domain engine
-	// may use during Run (0 = DefaultWorkers(), capped at the domain
-	// count). Results are bit-identical at any worker count.
-	Workers int
-
-	// Exec, when non-nil, runs the engine's phase spans on a
-	// caller-provided executor instead of goroutines the engine owns —
-	// the seam the fleet batch executor uses to share one bounded pool
-	// across concurrent Networks. Span closures never block on the
-	// executor, so a bounded pool cannot deadlock on them. Results are
-	// bit-identical with or without an executor.
-	Exec Executor
-
-	// Sequential forces every allocation-step phase to run inline on
-	// the event-loop goroutine — the A/B reference path for the
-	// parallel engine. Results are identical; the knob exists for
-	// validation and timing.
-	Sequential bool
 }
 
 // Observer receives flow lifecycle notifications. The instrumentation
@@ -75,10 +56,6 @@ type Observer interface {
 // components (over link sharing) of flows whose membership changed since
 // the last recompute. All solver scratch lives on the Network, so
 // steady-state recomputation performs no allocations.
-//
-// Mutable state is partitioned into per-rack event domains (domain.go)
-// so the phases of an allocation step can run concurrently; the event
-// loop itself and every merge stay on the Run caller's goroutine.
 type Network struct {
 	Sim
 	top  *topology.Topology
@@ -97,14 +74,11 @@ type Network struct {
 	// Flow.linkIdx). Ordering is arbitrary but deterministic.
 	linkFlows [][]*Flow
 
-	// Event domains: doms[0] is the shared core, doms[r+1] is rack r.
-	// linkDomain maps each link to its owner; linkActivePos[l] is l's
-	// index in its owner's activeLinks (-1 if absent); activeLinkCount
-	// sums the per-domain lists.
-	doms            []domain
-	linkDomain      []int32
-	linkActivePos   []int32
-	activeLinkCount int
+	// activeLinks lists the links with a nonzero allocated rate, the
+	// only ones whose byte counters advance; linkActivePos[l] is l's
+	// index in it (-1 if absent). Maintained by publish.
+	activeLinks   []topology.LinkID
+	linkActivePos []int32
 
 	// Dirty tracking: links whose flow membership changed since the
 	// last recompute. seedMark dedupes; seedLinks lists them.
@@ -112,12 +86,12 @@ type Network struct {
 	seedMark  []bool
 
 	// Solver scratch, reused across recomputes (zero-alloc steady state).
-	linkAlloc    []float64   // progressive-filling allocation per link
-	linkUnfrozen []int32     // unfrozen flows per link
-	linkComp     []uint64    // generation stamp: link gathered this solve
-	comps        []component // dirty components of the current step
-	fullComp     []topology.LinkID
-	fullCand     []topology.LinkID
+	linkAlloc    []float64         // progressive-filling allocation per link
+	linkUnfrozen []int32           // unfrozen flows per link
+	linkComp     []uint64          // generation stamp: link gathered this solve
+	comps        []component       // dirty components of the current step
+	fullComp     []topology.LinkID // FullRecompute's one all-flows component
+	cand         []topology.LinkID // solve's bottleneck-candidate scratch
 	compGen      uint64
 
 	// pendingLocal holds loopback flows started since the last
@@ -126,7 +100,7 @@ type Network struct {
 	pendingLocal []*Flow
 
 	// finished is completeFinished's scratch for the flows retired this
-	// window, in the canonical active-scan order their callbacks run in.
+	// step, in the active-scan order their callbacks run in.
 	finished []*Flow
 
 	lastAdvance        Time
@@ -143,24 +117,12 @@ type Network struct {
 	flowsCompleted int64
 	flowsCanceled  int64
 
-	// Parallel engine state: workersN is the resolved worker budget,
-	// eng the pool (nil outside Run or on the sequential path), and the
-	// counters feed the netsim.parallel.* series. windowCross counts
-	// cross-domain interactions (core-owned flow starts/ends, multi-
-	// domain component solves) accumulated toward the current window.
-	workersN     int
-	eng          *parEngine
-	windows      int64
-	barrierWaits int64
-	windowCross  int64
-
 	// Allocator telemetry (see Instrument). Plain counters cost nothing
-	// on the hot path and are exported as sampled series; the histograms
-	// are obs handles with a nil-safe Observe.
+	// on the hot path and are exported as sampled series; the histogram
+	// is an obs handle with a nil-safe Observe.
 	recomputesDirty int64
 	recomputesFull  int64
 	metCompLinks    *obs.Histogram
-	metCrossWindow  *obs.Histogram
 }
 
 // New builds a network over the topology.
@@ -188,14 +150,6 @@ func New(top *topology.Topology, opts Options) *Network {
 	for _, l := range top.Links() {
 		n.linkCapB[l.ID] = l.CapacityBps / 8
 	}
-	n.buildDomains(top)
-	n.workersN = opts.Workers
-	if n.workersN <= 0 {
-		n.workersN = DefaultWorkers()
-	}
-	if n.workersN > len(n.doms) {
-		n.workersN = len(n.doms)
-	}
 	if opts.StatsBinSize > 0 {
 		links := opts.StatsLinks
 		if links == nil {
@@ -217,8 +171,8 @@ func (n *Network) Top() *topology.Topology { return n.top }
 
 // Instrument registers the simulator's netsim.* series with the
 // registry. Counters the simulator maintains natively are exported as
-// sampled series (zero hot-path cost); the dirty-component size and
-// cross-domain-event histograms get handles with a nil-safe Observe.
+// sampled series (zero hot-path cost); the dirty-component size
+// histogram gets a handle with a nil-safe Observe.
 // Metrics are write-only from the simulation's perspective — nothing
 // here feeds back into event order, RNG draws or rates — so
 // instrumenting a run cannot change its results. Safe to call with a
@@ -234,15 +188,6 @@ func (n *Network) Instrument(r *obs.Registry) {
 	r.SampledCounter("netsim.recomputes_dirty_total", func() float64 { return float64(n.recomputesDirty) })
 	r.SampledCounter("netsim.recomputes_full_total", func() float64 { return float64(n.recomputesFull) })
 	n.metCompLinks = r.Histogram("netsim.recompute_component_links", obs.Pow2Bounds(1, 16))
-	// Parallel-engine telemetry: the domain count, the resolved worker
-	// budget, window advances (allocation steps), barriers the
-	// coordinator waited on, and how many cross-domain interactions
-	// each window carried (the conservative scheme's coupling cost).
-	r.SampledGauge("netsim.parallel.domains", func() float64 { return float64(len(n.doms)) })
-	r.SampledGauge("netsim.parallel.workers", func() float64 { return float64(n.workersN) })
-	r.SampledCounter("netsim.parallel.windows_total", func() float64 { return float64(n.windows) })
-	r.SampledCounter("netsim.parallel.barrier_waits_total", func() float64 { return float64(n.barrierWaits) })
-	n.metCrossWindow = r.Histogram("netsim.parallel.crossdomain_events_window", obs.Pow2Bounds(1, 14))
 }
 
 // AddObserver registers a flow lifecycle observer.
@@ -313,13 +258,6 @@ func (n *Network) StartFlow(src, dst topology.ServerID, bytes int64, tag FlowTag
 	n.nextID++
 	n.flowsStarted++
 	n.active = append(n.active, f)
-	f.dom = n.flowDomain(src, dst)
-	d := &n.doms[f.dom]
-	f.domIdx = int32(len(d.flows))
-	d.flows = append(d.flows, f)
-	if f.dom == coreDomain && len(f.path) > 0 {
-		n.windowCross++
-	}
 	if len(f.path) == 0 {
 		// Loopback: rate is assigned at the next recompute, matching
 		// when a full re-solve would have assigned it.
@@ -347,9 +285,9 @@ func (n *Network) seedLink(l topology.LinkID) {
 	}
 }
 
-// retire unlinks an active flow from the active set, its owner domain's
-// flow list and the per-link flow lists, seeding its links for the next
-// recompute. Observer and callback delivery is the caller's job.
+// retire unlinks an active flow from the active set and the per-link
+// flow lists, seeding its links for the next recompute. Observer and
+// callback delivery is the caller's job.
 func (n *Network) retire(f *Flow) {
 	last := len(n.active) - 1
 	i := f.idx
@@ -358,15 +296,6 @@ func (n *Network) retire(f *Flow) {
 	n.active[last] = nil
 	n.active = n.active[:last]
 	f.idx = -1
-	d := &n.doms[f.dom]
-	lastD := len(d.flows) - 1
-	j := int(f.domIdx)
-	movedD := d.flows[lastD]
-	d.flows[j] = movedD
-	movedD.domIdx = int32(j)
-	d.flows[lastD] = nil
-	d.flows = d.flows[:lastD]
-	f.domIdx = -1
 	for i, l := range f.path {
 		fl := n.linkFlows[l]
 		j := int(f.linkIdx[i])
@@ -412,11 +341,8 @@ func (n *Network) recomputeEvent() {
 }
 
 // step advances flow progress under the old rates, completes finished
-// flows, recomputes max-min shares, and schedules the next completion.
-// One step is one synchronization window of the parallel engine: the
-// phases inside it fan out over domains (or components) and merge at
-// barriers in domain (or component) order, so the window's outcome is
-// bit-identical at any worker count.
+// flows, recomputes max-min shares, and schedules the next completion,
+// in flat loops on the event-loop goroutine.
 func (n *Network) step() {
 	n.advance()
 	n.completeFinished()
@@ -433,47 +359,46 @@ func (n *Network) step() {
 		n.recomputeDirty()
 	}
 	n.scheduleNextCompletion()
-	n.windows++
-	n.metCrossWindow.Observe(float64(n.windowCross))
-	n.windowCross = 0
 }
 
 // advance accrues progress and link bytes for the time since the last
-// advance, under the rates frozen then. Each domain advances its own
-// flows and owned loaded links; the per-domain byte partials are folded
-// in domain order, so the sum's rounding is independent of worker count.
+// advance, under the rates frozen then: the loaded links' byte counters
+// (and their binned stats), then every active flow.
 func (n *Network) advance() {
 	now := n.Now()
 	if now <= n.lastAdvance {
 		return
 	}
 	dt := (now - n.lastAdvance).Seconds()
-	if e := n.eng; e != nil && len(n.active)+n.activeLinkCount >= parMinPhaseWork {
-		e.now, e.dt = now, dt
-		e.dispatch(phaseAdvance)
-	} else {
-		for i := range n.doms {
-			n.advanceDomain(&n.doms[i], now, dt)
+	for _, l := range n.activeLinks {
+		r := n.linkRateB[l]
+		n.linkBytes[l] += r * dt
+		if n.stats != nil {
+			n.stats.record(l, n.lastAdvance, now, r)
 		}
 	}
-	for i := range n.doms {
-		n.totalBytes += n.doms[i].bytesPartial
+	moved := 0.0
+	for _, f := range n.active {
+		if f.rate > 0 {
+			m := f.rate * dt
+			if m > f.remaining {
+				m = f.remaining
+			}
+			f.remaining -= m
+			moved += m
+		}
 	}
+	n.totalBytes += moved
 	n.lastAdvance = now
 }
 
 // completeFinished retires flows whose remaining bytes reached zero.
 const finishEps = 1e-3 // bytes
 
-// completeFinished runs entirely on the coordinator, deliberately: the
-// finish test is a cheap epsilon compare, and the completion callbacks
-// feed the workload layers, whose RNG draws are interleaved in callback
-// order. Keeping the exact active-scan order of the sequential reference
-// path (retire everything first, then deliver observers and callbacks in
-// retirement order) makes the engine-off build bit-identical to the
-// pre-engine simulator and the engine-on build bit-identical to
-// engine-off — completion order never depends on the domain partition or
-// the worker count.
+// completeFinished retires everything first, then delivers observers
+// and callbacks in retirement order, which is the active-scan order.
+// That order is trajectory-defining: the workload layers draw RNG state
+// inside completion callbacks, so changing it changes every later event.
 func (n *Network) completeFinished() {
 	finished := n.finished[:0]
 	for i := 0; i < len(n.active); {
@@ -490,9 +415,6 @@ func (n *Network) completeFinished() {
 	n.finished = finished
 	for _, f := range finished {
 		n.flowsCompleted++
-		if f.dom == coreDomain && len(f.path) > 0 {
-			n.windowCross++
-		}
 		for _, o := range n.observers {
 			o.FlowEnded(f)
 		}
@@ -502,39 +424,85 @@ func (n *Network) completeFinished() {
 	}
 }
 
+// component is one link-sharing-connected set of dirty links, the unit
+// of max-min re-solving. Components are link- and flow-disjoint by
+// construction, so each one's allocation is independent of the others'.
+type component struct {
+	links    []topology.LinkID // ascending id order, closed under link sharing
+	unfrozen int               // distinct flows on links
+}
+
+// gatherComponents consumes the dirty-link seeds and returns the
+// connected components (over link sharing) containing them, each closed
+// and sorted. Seeds are sorted first so component enumeration order —
+// and therefore every downstream publish — is canonical.
+func (n *Network) gatherComponents() []component {
+	if len(n.seedLinks) == 0 {
+		return nil
+	}
+	slices.Sort(n.seedLinks)
+	n.compGen++
+	gen := n.compGen
+	comps := n.comps[:0]
+	for _, seed := range n.seedLinks {
+		n.seedMark[seed] = false
+		if n.linkComp[seed] == gen {
+			continue
+		}
+		if len(comps) < cap(comps) {
+			comps = comps[:len(comps)+1]
+			c := &comps[len(comps)-1]
+			c.links = c.links[:0]
+			c.unfrozen = 0
+		} else {
+			comps = append(comps, component{})
+		}
+		c := &comps[len(comps)-1]
+		n.linkComp[seed] = gen
+		c.links = append(c.links, seed)
+		// Close over link sharing: c.links doubles as the BFS frontier.
+		for i := 0; i < len(c.links); i++ {
+			for _, f := range n.linkFlows[c.links[i]] {
+				if f.mark == gen {
+					continue
+				}
+				f.mark = gen
+				f.frozen = false
+				c.unfrozen++
+				for _, pl := range f.path {
+					if n.linkComp[pl] != gen {
+						n.linkComp[pl] = gen
+						c.links = append(c.links, pl)
+					}
+				}
+			}
+		}
+		// Canonical link order keeps bottleneck tie-breaking (and
+		// therefore floating-point rounding) identical to a full
+		// re-solve.
+		slices.Sort(c.links)
+	}
+	n.seedLinks = n.seedLinks[:0]
+	n.comps = comps
+	return comps
+}
+
 // recomputeDirty re-solves max-min shares for the connected components of
 // flows sharing links with any flow that started or ended since the last
 // recompute. Flows in disjoint components keep their rates, which is
 // exact: a max-min allocation is separable across link-disjoint
-// components, so allocations outside the affected ones cannot change —
-// the same separability that lets component solves run concurrently.
+// components, so allocations outside the affected ones cannot change.
 func (n *Network) recomputeDirty() {
 	comps := n.gatherComponents()
 	if len(comps) == 0 {
 		return
 	}
 	n.recomputesDirty++
-	unfrozen := 0
 	for i := range comps {
-		unfrozen += comps[i].unfrozen
-		n.metCompLinks.Observe(float64(len(comps[i].links)))
-		if comps[i].multiDomain {
-			n.windowCross++
-		}
-	}
-	if e := n.eng; e != nil && len(comps) >= 2 && unfrozen >= parMinSolveWork {
-		e.comps = comps
-		e.dispatch(phaseSolve)
-		e.comps = nil
-	} else {
-		for i := range comps {
-			n.solveComp(&comps[i])
-		}
-	}
-	// Publish in component order on the coordinator: rates and the
-	// active-link lists are shared state.
-	for i := range comps {
-		n.publish(comps[i].links)
+		c := &comps[i]
+		n.metCompLinks.Observe(float64(len(c.links)))
+		n.solve(c.links, c.unfrozen)
+		n.publish(c.links)
 	}
 }
 
@@ -550,15 +518,11 @@ func (n *Network) recomputeRates() {
 	// Rates on links whose last flow retired since the previous solve
 	// are republished by solve only if the link is gathered again, so
 	// clear the whole active set first.
-	for di := range n.doms {
-		d := &n.doms[di]
-		for _, l := range d.activeLinks {
-			n.linkRateB[l] = 0
-			n.linkActivePos[l] = -1
-		}
-		d.activeLinks = d.activeLinks[:0]
+	for _, l := range n.activeLinks {
+		n.linkRateB[l] = 0
+		n.linkActivePos[l] = -1
 	}
-	n.activeLinkCount = 0
+	n.activeLinks = n.activeLinks[:0]
 	n.compGen++
 	gen := n.compGen
 	comp := n.fullComp[:0]
@@ -580,7 +544,7 @@ func (n *Network) recomputeRates() {
 	}
 	slices.Sort(comp)
 	n.fullComp = comp
-	n.fullCand = n.solve(comp, unfrozen, n.fullCand)
+	n.solve(comp, unfrozen)
 	n.publish(comp)
 }
 
@@ -588,17 +552,14 @@ func (n *Network) recomputeRates() {
 // filling: repeatedly find the most-contended link, fix its flows at the
 // fair share, remove them, and continue. links must be in ascending id
 // order (deterministic tie-breaks) and closed under flow link-sharing;
-// unfrozen is the number of distinct flows on them. cand is the caller's
-// candidate scratch (returned for reuse), so solves of disjoint link
-// sets can run concurrently: all other writes — linkAlloc, linkUnfrozen,
-// flow rates — land on the solved links and their flows only.
-func (n *Network) solve(links []topology.LinkID, unfrozen int, cand []topology.LinkID) []topology.LinkID {
+// unfrozen is the number of distinct flows on them.
+func (n *Network) solve(links []topology.LinkID, unfrozen int) {
 	for _, l := range links {
 		n.linkAlloc[l] = 0
 		n.linkUnfrozen[l] = int32(len(n.linkFlows[l]))
 	}
-	cand = append(cand[:0], links...)
-	scratch := cand
+	n.cand = append(n.cand[:0], links...)
+	cand := n.cand
 	for unfrozen > 0 {
 		// Find the bottleneck link: minimal fair share among links with
 		// unfrozen flows, lowest id winning ties. Saturated links are
@@ -638,54 +599,40 @@ func (n *Network) solve(links []topology.LinkID, unfrozen int, cand []topology.L
 			}
 		}
 	}
-	return scratch
 }
 
 // publish copies the solved allocations into the live rate array and
-// maintains the owner domains' active-link lists. Runs on the
-// coordinator only, in component order — rates and list membership are
-// shared state the advance phase reads next window.
+// maintains the active-link list the next advance walks.
 func (n *Network) publish(links []topology.LinkID) {
 	for _, l := range links {
 		r := n.linkAlloc[l]
 		n.linkRateB[l] = r
-		d := &n.doms[n.linkDomain[l]]
 		pos := n.linkActivePos[l]
 		if r != 0 && pos < 0 {
-			n.linkActivePos[l] = int32(len(d.activeLinks))
-			d.activeLinks = append(d.activeLinks, l)
-			n.activeLinkCount++
+			n.linkActivePos[l] = int32(len(n.activeLinks))
+			n.activeLinks = append(n.activeLinks, l)
 		} else if r == 0 && pos >= 0 {
-			last := len(d.activeLinks) - 1
-			moved := d.activeLinks[last]
-			d.activeLinks[pos] = moved
+			last := len(n.activeLinks) - 1
+			moved := n.activeLinks[last]
+			n.activeLinks[pos] = moved
 			n.linkActivePos[moved] = pos
-			d.activeLinks = d.activeLinks[:last]
+			n.activeLinks = n.activeLinks[:last]
 			n.linkActivePos[l] = -1
-			n.activeLinkCount--
 		}
 	}
 }
 
 // scheduleNextCompletion arms a single timer for the earliest projected
-// flow completion; a generation counter invalidates stale timers. The
-// per-domain minima merge to the same value as a flat scan (min is
-// order-insensitive), so the timer fires at the same instant on every
-// path.
+// flow completion; a generation counter invalidates stale timers.
 func (n *Network) scheduleNextCompletion() {
 	n.completionGen++
 	gen := n.completionGen
-	if e := n.eng; e != nil && len(n.active) >= parMinPhaseWork {
-		e.dispatch(phaseMin)
-	} else {
-		for i := range n.doms {
-			n.minDomain(&n.doms[i])
-		}
-	}
 	best := math.Inf(1)
-	for i := range n.doms {
-		if n.doms[i].minCompl < best {
-			best = n.doms[i].minCompl
+	for _, f := range n.active {
+		if f.rate > 0 {
+			if t := f.remaining / f.rate; t < best {
+				best = t
+			}
 		}
 	}
 	if math.IsInf(best, 1) {
@@ -715,9 +662,6 @@ func (n *Network) Cancel(f *Flow) {
 	f.Canceled = true
 	f.End = n.Now()
 	n.flowsCanceled++
-	if f.dom == coreDomain && len(f.path) > 0 {
-		n.windowCross++
-	}
 	for _, o := range n.observers {
 		o.FlowEnded(f)
 	}
@@ -751,9 +695,6 @@ func (n *Network) CancelWhere(pred func(*Flow) bool) int {
 		f.Canceled = true
 		f.End = n.Now()
 		n.flowsCanceled++
-		if f.dom == coreDomain && len(f.path) > 0 {
-			n.windowCross++
-		}
 		for _, o := range n.observers {
 			o.FlowEnded(f)
 		}

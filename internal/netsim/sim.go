@@ -8,13 +8,10 @@
 // Packet-level artifacts the paper explicitly did not observe (incast
 // collapse) are modeled by their preconditions, not by simulating TCP.
 //
-// The event loop itself is single-goroutine and deterministic: all
+// A simulation runs on one goroutine and is deterministic: all
 // behaviour is a pure function of the scheduled events and the seed of
-// whatever workload drives it. Network optionally parallelizes the work
-// *inside* each allocation step across per-rack event domains (see
-// domain.go); by the three-rule determinism contract the results are
-// bit-identical at any worker count, so the parallel path preserves this
-// guarantee.
+// whatever workload drives it. Parallelism belongs across independent
+// runs (internal/fleet), not inside one.
 package netsim
 
 import (

@@ -8,12 +8,6 @@ import (
 // tracked subset of links. These are the simulator's equivalent of SNMP
 // interface byte counters: congestion analysis derives utilization from
 // them, and tomography uses them as its only input.
-//
-// Storage is a dense per-link slice (indexed by LinkID, nil for
-// untracked links) rather than a map: the advance phase records links
-// concurrently from per-rack domain workers, and distinct slice slots
-// are safely disjoint where concurrent map writes — even to distinct
-// keys — are not.
 type LinkStats struct {
 	binSize Time
 	tracked []bool      // indexed by LinkID
