@@ -30,13 +30,14 @@ lint:
 # the race detector over the two packages that deliver observer
 # callbacks (the netsim leg runs the golden-digest simulate workloads)
 # and over internal/trace (the live seam and the compression meter),
-# the parallel-analysis race leg (the task slots of the analyze
-# pipeline must stay disjoint), and the fleet race leg (concurrent
-# pipelines sharing the admission gate and the topology cache).
+# the analyze race leg (the fused seam between the simulator and the
+# analysis goroutine, and the compression meter, on the streaming and
+# fused paths), and the fleet race leg (concurrent pipelines sharing
+# the admission gate and the topology cache).
 test: vet lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/netsim ./internal/sched ./internal/trace
-	$(GO) test -race -run 'TestAnalyzeParallel|TestAnalyzeStream|TestRunAnalyze' ./internal/core
+	$(GO) test -race -run 'TestAnalyzeStream|TestRunAnalyze' ./internal/core
 	$(GO) test -race -run 'TestFleet' ./internal/fleet
 
 test-short:

@@ -58,17 +58,12 @@ func main() {
 	tsvDir := flag.String("tsv", "", "also write every figure's data series as TSV files into this directory")
 	paper := flag.Bool("paper", false, "use the paper-scale configuration (75 racks x 20 servers, 24h)")
 	jsonOut := flag.Bool("json", false, "print the machine-readable headline digest instead of the text report")
-	parallel := flag.Int("parallel", 0, "analysis worker goroutines (0 = GOMAXPROCS); results are identical at any setting")
-	seq := flag.Bool("seq", false, "run the analysis pipeline on a single worker (same results, no concurrency)")
 	progress := flag.Bool("progress", false, "report simulation progress, per-stage analysis timings and tomography solver effort on stderr")
 	memProfile := flag.String("mem-profile", "", "write a heap profile captured at the peak buffered-record window")
 	maxHeapMB := flag.Int("max-heap-mb", 0, "exit nonzero if the peak live heap exceeds this many MiB (0 = no check)")
 	flag.Parse()
 
-	aopts := []dctraffic.AnalyzeOption{dctraffic.WithAnalyzeParallelism(*parallel)}
-	if *seq {
-		aopts = append(aopts, dctraffic.WithAnalyzeSequential())
-	}
+	var aopts []dctraffic.AnalyzeOption
 	var reg *dctraffic.Registry
 	if *progress {
 		reg = dctraffic.NewRegistry()

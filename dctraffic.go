@@ -24,8 +24,9 @@
 //
 // Analysis takes the same functional-option shape: AnalyzeRun for a
 // completed run, AnalyzeSource for a trace file streamed in bounded
-// memory (see OpenTraceFile), with WithAnalyzeParallelism,
-// WithInactivityTimeout and friends tuning the figures.
+// memory (see OpenTraceFile), with WithInactivityTimeout,
+// WithCDFSampleCap and friends tuning the figures. Each analysis runs
+// on the goroutine that calls it.
 //
 // RunAnalyze fuses the two phases: the simulator feeds the analyzer
 // live through a watermarked reorder buffer, so record-derived figure
@@ -62,11 +63,6 @@ type (
 	RunConfig = core.RunConfig
 	// RunResult carries the simulated cluster and its collected logs.
 	RunResult = core.RunResult
-	// AnalyzeOptions tunes the per-figure analyses.
-	//
-	// Deprecated: pass AnalyzeOption values to AnalyzeRun/AnalyzeSource
-	// instead.
-	AnalyzeOptions = core.AnalyzeOptions
 	// AnalyzeOption configures AnalyzeRun/AnalyzeSource (see the WithX
 	// analysis options below).
 	AnalyzeOption = core.AnalyzeOption
@@ -165,9 +161,8 @@ func ReadMetrics(r io.Reader) (*MetricsSnapshot, error) { return obs.ReadSnapsho
 
 // AnalyzeRun regenerates every figure of the paper from a run. The
 // pipeline streams the run's records through the same bounded-memory
-// sweep AnalyzeSource uses and runs figure computations concurrently
-// (see WithAnalyzeParallelism); results are bit-identical at any
-// parallelism.
+// sweep AnalyzeSource uses, on the calling goroutine; results are
+// bit-identical to analyzing a written-out trace of the same run.
 func AnalyzeRun(ctx context.Context, rr *RunResult, opts ...AnalyzeOption) (*Report, error) {
 	return core.AnalyzeRun(ctx, rr, opts...)
 }
@@ -184,9 +179,10 @@ func AnalyzeSource(ctx context.Context, src TraceSource, opts ...AnalyzeOption) 
 // pipeline: the simulator's completed flows stream through a
 // watermarked reorder buffer straight into the analysis sweep, so the
 // record-derived figures compute while the cluster still runs. The
-// report is bit-identical to Run followed by AnalyzeRun at every
-// worker-count combination. Cancellation of ctx, a simulation error,
-// or an analysis error unwinds both phases before RunAnalyze returns.
+// simulation runs on its own goroutine and the analysis on the
+// caller's; the report is bit-identical to Run followed by AnalyzeRun
+// at any GOMAXPROCS. Cancellation of ctx, a simulation error, or an
+// analysis error unwinds both phases before RunAnalyze returns.
 func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*RunResult, *Report, error) {
 	return core.RunAnalyze(ctx, cfg, opts...)
 }
@@ -216,13 +212,6 @@ func WithAnalyzeTopology(top *topology.Topology) AnalyzeOption { return core.Wit
 // WithAnalyzeDuration supplies the trace horizon for run-less analysis.
 func WithAnalyzeDuration(d Time) AnalyzeOption { return core.WithDuration(d) }
 
-// WithAnalyzeParallelism bounds the analysis worker goroutines
-// (0 = GOMAXPROCS). Any value yields bit-identical results.
-func WithAnalyzeParallelism(n int) AnalyzeOption { return core.WithParallelism(n) }
-
-// WithAnalyzeSequential forces the single-goroutine reference path.
-func WithAnalyzeSequential() AnalyzeOption { return core.WithSequential() }
-
 // WithAnalyzeObserver attaches a metrics registry to the analysis
 // pipeline.
 func WithAnalyzeObserver(reg *Registry) AnalyzeOption { return core.WithAnalysisObserver(reg) }
@@ -245,20 +234,6 @@ func WithAnalyzeProgress(fn func(StreamProgress)) AnalyzeOption {
 // NewTopology builds the cluster fabric for WithAnalyzeTopology.
 func NewTopology(cfg TopologyConfig) (*topology.Topology, error) { return topology.New(cfg) }
 
-// Analyze regenerates every figure of the paper from a run.
-//
-// Deprecated: use AnalyzeRun with functional options; this shim routes
-// through the same streaming pipeline and is bit-identical.
-func Analyze(rr *RunResult, opts AnalyzeOptions) *Report { return core.Analyze(rr, opts) }
-
-// AnalyzeContext is Analyze with cancellation.
-//
-// Deprecated: use AnalyzeRun, which takes the same knobs as functional
-// options.
-func AnalyzeContext(ctx context.Context, rr *RunResult, opts AnalyzeOptions) (*Report, error) {
-	return core.AnalyzeContext(ctx, rr, opts)
-}
-
 // HeatASCII renders a TM as an ASCII heat map of loge(Bytes) — a terminal
 // rendition of Figure 2.
 func HeatASCII(m *Matrix, width int) string { return core.HeatASCII(m, width) }
@@ -268,17 +243,6 @@ func HeatASCII(m *Matrix, width int) string { return core.HeatASCII(m, width) }
 // cluster shape.
 func PaperModelFor(shape ClusterShape) ModelParams {
 	return model.PaperDefaultsFor(shape)
-}
-
-// PaperModel returns the §4.1 generative traffic model at the given
-// cluster shape.
-//
-// Deprecated: the positional ints are easy to transpose; use
-// PaperModelFor with a ClusterShape instead.
-func PaperModel(racks, serversPerRack, externalHosts int) ModelParams {
-	return model.PaperDefaultsFor(model.ClusterShape{
-		Racks: racks, ServersPerRack: serversPerRack, ExternalHosts: externalHosts,
-	})
 }
 
 // FitModel estimates model parameters from a measured server-level TM.

@@ -30,19 +30,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if peak <= 0 {
 		t.Fatal("no streaming progress delivered")
 	}
-	// The deprecated struct-options shim must agree with the
-	// functional-options pipeline it wraps.
-	if legacy := Analyze(rr, AnalyzeOptions{}); legacy.Fig9.Summary != rep.Fig9.Summary {
-		t.Fatalf("deprecated Analyze shim diverged: %+v != %+v",
-			legacy.Fig9.Summary, rep.Fig9.Summary)
-	}
 }
 
 func TestFacadeModel(t *testing.T) {
 	p := PaperModelFor(ClusterShape{Racks: 8, ServersPerRack: 10, ExternalHosts: 4})
-	if got := PaperModel(8, 10, 4); got.Window != p.Window {
-		t.Fatal("deprecated PaperModel disagrees with PaperModelFor")
-	}
 	rng := NewRNG(1)
 	m := p.GenerateTM(rng)
 	if m.Total() <= 0 {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 
 	"dctraffic/internal/congestion"
@@ -24,10 +23,9 @@ import (
 // functional-option pattern.
 type AnalyzeOption func(*analyzeConfig)
 
-// analyzeConfig is the resolved option set. It embeds the legacy
-// AnalyzeOptions struct — that struct remains the single definition of
-// the per-figure knobs (and of their defaults, via ApplyDefaults); the
-// WithX options and the deprecated struct-based shims both write here.
+// analyzeConfig is the resolved option set. It embeds AnalyzeOptions,
+// the single definition of the per-figure knobs (and of their defaults,
+// via ApplyDefaults); the WithX options write here.
 type analyzeConfig struct {
 	AnalyzeOptions
 
@@ -71,23 +69,18 @@ func WithDuration(d netsim.Time) AnalyzeOption {
 	return func(c *analyzeConfig) { c.duration = d }
 }
 
-// WithParallelism bounds the analysis worker goroutines. 0 means
-// runtime.GOMAXPROCS(0). Any value yields bit-identical results (see
-// parallel.go's determinism contract).
-func WithParallelism(n int) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Parallelism = n }
-}
-
-// WithSequential forces Parallelism 1 — the debugging escape hatch.
-// The same windowed algorithm runs inline, so results are identical.
+// WithSequential has no effect.
+//
+// Deprecated: the analysis always runs on the goroutine that calls
+// AnalyzeSource; the option remains for source compatibility.
 func WithSequential() AnalyzeOption {
-	return func(c *analyzeConfig) { c.Sequential = true }
+	return func(*analyzeConfig) {}
 }
 
 // WithAnalysisObserver attaches a metrics registry. (WithObserver is
 // taken by the simulator's RunOption of the same shape.) Like the
 // simulator's registry it must not be read concurrently; the pipeline
-// touches it only from the coordinating goroutine.
+// touches it only from the goroutine that calls AnalyzeSource.
 func WithAnalysisObserver(reg *obs.Registry) AnalyzeOption {
 	return func(c *analyzeConfig) { c.Observer = reg }
 }
@@ -139,12 +132,6 @@ func WithJobPriorAlpha(a float64) AnalyzeOption {
 	return func(c *analyzeConfig) { c.JobPriorAlpha = a }
 }
 
-// WithTomoCold disables warm-starting the sparsity-max simplex across
-// consecutive tomography windows.
-func WithTomoCold() AnalyzeOption {
-	return func(c *analyzeConfig) { c.TomoCold = true }
-}
-
 // WithCDFSampleCap bounds the exact-sample count of each whole-run
 // streaming CDF (flow durations/rates, inter-arrivals, Figure 7 rates)
 // before it converts to a bounded quantile sketch. 0 selects
@@ -173,13 +160,12 @@ type StreamProgress struct {
 }
 
 // WithStreamProgress attaches a per-boundary progress callback, called
-// on the coordinating goroutine.
+// on the goroutine that calls AnalyzeSource.
 func WithStreamProgress(fn func(StreamProgress)) AnalyzeOption {
 	return func(c *analyzeConfig) { c.progress = fn }
 }
 
-// AnalyzeRun regenerates every figure from a completed run — the
-// functional-options successor of Analyze/AnalyzeContext. It streams
+// AnalyzeRun regenerates every figure from a completed run. It streams
 // the run's records through AnalyzeSource; results are bit-identical
 // to analyzing a written-out trace of the same run.
 //
@@ -202,7 +188,7 @@ const maxSweepTime = netsim.Time(math.MaxInt64)
 const fig34Samples = 16
 
 // winKind orders window kinds within one boundary (any fixed order
-// works; this one is part of the deterministic task sequence).
+// works; this one is part of the deterministic window sequence).
 type winKind uint8
 
 const (
@@ -238,11 +224,11 @@ type tomoSlot struct {
 	warm, fellBack                   bool
 }
 
-// chunkResult holds one record chunk's episode-join results.
-type chunkResult struct {
-	overlap, all *stats.CDF
-	attr         congestion.Attribution
-}
+// recordShardTarget is the record-chunk size of the Figure 7 episode
+// join and the attribution. Chunk boundaries depend only on the record
+// count, so every path cuts the same chunks; attribution sums per
+// chunk, so the value is part of the pinned digests.
+const recordShardTarget = 1 << 17
 
 // tomoDeferred is one tomography window parked by the fused pipeline:
 // the window slice is captured at its sweep boundary (identical to the
@@ -254,14 +240,13 @@ type tomoDeferred struct {
 	slice    []trace.FlowRecord
 }
 
-// streamAnalysis is the coordinator state of one AnalyzeSource sweep.
+// streamAnalysis is the state of one AnalyzeSource sweep.
 type streamAnalysis struct {
 	cfg      *analyzeConfig
 	reg      *obs.Registry
 	top      *topology.Topology
 	duration netsim.Time
 	numHosts int
-	pool     *streamPool
 	taskCnt  *obs.Counter
 
 	// fused marks a live (still-running-simulation) source: run-derived
@@ -298,9 +283,6 @@ type streamAnalysis struct {
 
 	// record chunks (Figure 7 join + attribution), run mode only
 	chunkBuf    []trace.FlowRecord
-	chunkSlots  []*chunkResult
-	chunkDone   []<-chan struct{}
-	chunkNext   int
 	fig7Overlap *stats.StreamCDF
 	fig7All     *stats.StreamCDF
 	attrParts   []congestion.Attribution
@@ -309,12 +291,9 @@ type streamAnalysis struct {
 	fig2M        *tm.Matrix
 	fig2Patterns tm.PatternSummary
 	fig34Slots   []fig34Slot
-	fig10Mats    []*tm.Matrix
-	fig10Done    []<-chan struct{}
-	fig10Next    int
 	ring         *tm.ChangeRing
 
-	// tomography: one warm-start chain on the coordinator
+	// tomography: one warm-start chain
 	tomoProblem            *tomo.Problem
 	tomoEst                *tomo.Estimator
 	tomoSlots              []tomoSlot
@@ -339,14 +318,14 @@ type streamAnalysis struct {
 // the sweep delivers records into a sliding trace.WindowView plus the
 // online accumulators (streaming CDFs, inter-arrival and incast
 // trackers, the windowed flow reassembler, Figure 7/attribution record
-// chunks), hands each closing window its own slice copy as a pool task
-// writing its own slot (rule 2), merges the completed slot prefix in
-// slot order on this goroutine (rule 3), and retires every record no
-// open window can reach. Whole-run statistics stay exact below the
+// chunks), computes each closing window inline in boundary order —
+// Figure 10 bins go straight into the change ring, each full record
+// chunk is joined and merged into the Figure 7 CDFs and attribution —
+// and retires every record no open window can reach. Everything runs
+// on the calling goroutine. Whole-run statistics stay exact below the
 // WithCDFSampleCap sample cap and degrade to deterministic bounded
 // quantile sketches beyond it, so small-scale reports are bit-identical
-// to the in-memory path at any worker count while week-long traces run
-// in O(window) memory.
+// to the in-memory path while week-long traces run in O(window) memory.
 //
 // The three obs phases are unchanged from the in-memory pipeline:
 // "analyze.index" (validation, episode detection, window registry),
@@ -374,13 +353,6 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 		return nil, fmt.Errorf("core: analyze canceled: %w", err)
 	}
 
-	workers := cfg.Parallelism
-	if cfg.Sequential {
-		workers = 1
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	reg := cfg.Observer
 
 	a := &streamAnalysis{
@@ -397,13 +369,10 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 	stopIndex := reg.StartPhase("analyze.index")
 	a.setup()
 	stopIndex()
-	reg.Gauge("analyze.workers").Set(float64(workers))
 	a.taskCnt = reg.Counter("analyze.tasks_total")
-	a.pool = newStreamPool(ctx, workers)
 
 	stopFigures := reg.StartPhase("analyze.figures")
 	if err := a.sweep(ctx); err != nil {
-		a.pool.wait() // cleanup; a task panic re-raises here
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("core: analyze canceled: %w", ctx.Err())
 		}
@@ -413,14 +382,9 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 		// The source hit EOF, so the producing simulation has finished:
 		// the run-only inputs are final and the deferred work can run.
 		if err := a.finishRun(ctx); err != nil {
-			a.pool.wait()
 			return nil, fmt.Errorf("core: analyze canceled: %w", err)
 		}
 	}
-	if err := a.pool.wait(); err != nil {
-		return nil, fmt.Errorf("core: analyze canceled: %w", err)
-	}
-	a.finalDrain()
 	reg.Counter("analyze.records_total").Add(a.wv.Delivered())
 	rep := &Report{}
 	a.mergeFigures(rep)
@@ -452,7 +416,7 @@ func (a *streamAnalysis) setup() {
 		a.fig7Overlap = stats.NewStreamCDF(cfg.cdfCap)
 		a.fig7All = stats.NewStreamCDF(cfg.cdfCap)
 		a.tomoProblem = tomo.NewProblem(a.top)
-		a.tomoEst = a.tomoProblem.NewEstimator(tomo.EstimatorOptions{Cold: cfg.TomoCold})
+		a.tomoEst = a.tomoProblem.NewEstimator(tomo.EstimatorOptions{})
 		a.xTrue = make([]float64, a.tomoProblem.NumPairs())
 		if !a.fused {
 			// Fused mode defers episode detection to finishRun: the link
@@ -477,7 +441,6 @@ func (a *streamAnalysis) setup() {
 		wins = append(wins, figWindow{kind: winFig34, idx: k, from: from, to: from + sampleWindow})
 	}
 	nBins := int((duration + cfg.Fig10Bin - 1) / cfg.Fig10Bin)
-	a.fig10Mats = make([]*tm.Matrix, nBins)
 	a.ring = tm.NewChangeRing(1, 10)
 	for i := 0; i < nBins; i++ {
 		from, to := tm.SeriesBinWindow(i, cfg.Fig10Bin, duration)
@@ -514,8 +477,7 @@ func (a *streamAnalysis) setup() {
 	}
 }
 
-// sweep runs the boundary loop: deliver, dispatch, merge the ready
-// prefix, retire.
+// sweep runs the boundary loop: deliver, dispatch, retire.
 func (a *streamAnalysis) sweep(ctx context.Context) error {
 	i := 0
 	for i < len(a.wins) {
@@ -530,7 +492,6 @@ func (a *streamAnalysis) sweep(ctx context.Context) error {
 			a.dispatch(&a.wins[i])
 			i++
 		}
-		a.drainReady(false)
 		a.wv.Retire(a.sufMin[i])
 		a.reg.Gauge("analyze.stream.peak_buffered_records").SetMax(float64(a.wv.Buffered()))
 		if a.cfg.progress != nil {
@@ -626,10 +587,9 @@ func (a *streamAnalysis) consumeFlow(r trace.FlowRecord) {
 	a.ia.Observe(&r)
 }
 
-// flushChunk seals the buffered record chunk. Chunk boundaries depend
-// only on the record count (rule 1), so the fused and two-phase paths
-// cut identical chunks; fused mode parks them until the episode index
-// exists (finishRun), the two-phase path submits immediately.
+// flushChunk seals the buffered record chunk. Fused mode parks it
+// until the episode index exists (finishRun); the two-phase path joins
+// it immediately.
 func (a *streamAnalysis) flushChunk() {
 	if len(a.chunkBuf) == 0 {
 		return
@@ -640,60 +600,49 @@ func (a *streamAnalysis) flushChunk() {
 		a.pendingChunks = append(a.pendingChunks, chunk)
 		return
 	}
-	a.submitChunk(chunk)
+	a.joinChunk(chunk)
 }
 
-// submitChunk hands one sealed chunk to the pool as an episode-join
-// task.
-func (a *streamAnalysis) submitChunk(chunk []trace.FlowRecord) {
-	slot := &chunkResult{}
-	a.chunkSlots = append(a.chunkSlots, slot)
+// joinChunk joins one sealed chunk against the episode index and merges
+// the result into the Figure 7 CDFs and the attribution parts. Chunks
+// arrive in record order.
+func (a *streamAnalysis) joinChunk(chunk []trace.FlowRecord) {
 	a.taskCnt.Inc()
-	a.chunkDone = append(a.chunkDone, a.pool.submit(func() {
-		slot.overlap, slot.all = congestion.OverlapRateCDFsIndexed(chunk, a.epIdx, a.top)
-		slot.attr = congestion.AttributeIndexed(chunk, a.epIdx, a.top)
-	}))
+	overlap, all := congestion.OverlapRateCDFsIndexed(chunk, a.epIdx, a.top)
+	a.fig7Overlap.MergeCDF(overlap)
+	a.fig7All.MergeCDF(all)
+	a.attrParts = append(a.attrParts, congestion.AttributeIndexed(chunk, a.epIdx, a.top))
 }
 
-// dispatch hands a closing window its slice copy: matrix windows go to
-// the pool, tomography windows run inline so the warm-start chain stays
-// on the coordinator.
+// dispatch computes a closing window from its slice copy. Windows
+// arrive in boundary order, so Figure 10 bins reach the change ring in
+// bin order and tomography windows extend one warm-start chain.
 func (a *streamAnalysis) dispatch(w *figWindow) {
 	from, to := w.from, w.to
 	slice := a.wv.Slice(from, to)
 	a.taskCnt.Inc()
 	switch w.kind {
 	case winFig2:
-		a.pool.submit(func() {
-			a.fig2M = tm.ServerMatrix(slice, a.numHosts, from, to)
-		})
+		a.fig2M = tm.ServerMatrix(slice, a.numHosts, from, to)
 	case winFig2Wide:
-		a.pool.submit(func() {
-			// The pattern shares come from a 10×-longer window so they are
-			// stable (a single 10 s window is dominated by whichever
-			// shuffle is active).
-			wide := tm.ServerMatrix(slice, a.numHosts, from, to)
-			a.fig2Patterns = tm.SummarizePatterns(wide, a.top)
-		})
+		// The pattern shares come from a 10×-longer window so they are
+		// stable (a single 10 s window is dominated by whichever shuffle
+		// is active).
+		wide := tm.ServerMatrix(slice, a.numHosts, from, to)
+		a.fig2Patterns = tm.SummarizePatterns(wide, a.top)
 	case winFig34:
-		k := w.idx
-		a.pool.submit(func() {
-			m := tm.ServerMatrix(slice, a.numHosts, from, to)
-			if m.NonZero() == 0 {
-				return
-			}
-			s := &a.fig34Slots[k]
-			s.used = true
-			s.es = tm.ComputeEntryStats(m, a.top)
-			s.zeroWithin = s.es.PZeroWithinRack
-			s.zeroAcross = s.es.PZeroAcrossRack
-			s.cs = tm.ComputeCorrespondents(m, a.top)
-		})
+		m := tm.ServerMatrix(slice, a.numHosts, from, to)
+		if m.NonZero() == 0 {
+			return
+		}
+		s := &a.fig34Slots[w.idx]
+		s.used = true
+		s.es = tm.ComputeEntryStats(m, a.top)
+		s.zeroWithin = s.es.PZeroWithinRack
+		s.zeroAcross = s.es.PZeroAcrossRack
+		s.cs = tm.ComputeCorrespondents(m, a.top)
 	case winFig10:
-		i := w.idx
-		a.fig10Done = append(a.fig10Done, a.pool.submit(func() {
-			a.fig10Mats[i] = tm.ServerMatrix(slice, a.numHosts, from, to)
-		}))
+		a.ring.Push(tm.ServerMatrix(slice, a.numHosts, from, to))
 	case winTomo:
 		if a.fused {
 			// The estimator chain reads the job event log, which the
@@ -711,7 +660,7 @@ func (a *streamAnalysis) dispatch(w *figWindow) {
 // runs after the source hit EOF — the producing simulation has
 // returned, so the link stats, job event log and collector are final
 // and reading them cannot race. Episode detection, the parked chunk
-// submissions and the tomography chain all happen in the same order the
+// joins and the tomography chain all happen in the same order the
 // two-phase path uses, so results are bit-identical.
 func (a *streamAnalysis) finishRun(ctx context.Context) error {
 	cfg := a.cfg
@@ -723,7 +672,7 @@ func (a *streamAnalysis) finishRun(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		a.submitChunk(chunk)
+		a.joinChunk(chunk)
 	}
 	a.pendingChunks = nil
 	for i := range a.tomoPending {
@@ -792,59 +741,8 @@ func (a *streamAnalysis) tomoWindow(i int, from, to netsim.Time, slice []trace.F
 	s.fellBack = st.FellBack
 }
 
-// drainReady merges the completed prefix of the ordered slot sequences
-// (Figure 10 bins into the change ring, record chunks into the Figure 7
-// CDFs and attribution parts), in slot order only. With block set it
-// asserts completeness (used after pool.wait, when every done channel
-// is closed).
-func (a *streamAnalysis) drainReady(block bool) {
-	for a.fig10Next < len(a.fig10Done) {
-		if !ready(a.fig10Done[a.fig10Next], block) {
-			break
-		}
-		m := a.fig10Mats[a.fig10Next]
-		if m == nil {
-			break // task skipped after cancellation; caller handles
-		}
-		a.ring.Push(m)
-		a.fig10Mats[a.fig10Next] = nil
-		a.fig10Next++
-	}
-	for a.chunkNext < len(a.chunkDone) {
-		if !ready(a.chunkDone[a.chunkNext], block) {
-			break
-		}
-		slot := a.chunkSlots[a.chunkNext]
-		if slot.overlap == nil {
-			break
-		}
-		a.fig7Overlap.MergeCDF(slot.overlap)
-		a.fig7All.MergeCDF(slot.all)
-		a.attrParts = append(a.attrParts, slot.attr)
-		a.chunkSlots[a.chunkNext] = nil
-		a.chunkNext++
-	}
-}
-
-// finalDrain merges every remaining slot after the pool has drained.
-func (a *streamAnalysis) finalDrain() { a.drainReady(true) }
-
-// ready reports whether done has closed, blocking when block is set.
-func ready(done <-chan struct{}, block bool) bool {
-	if block {
-		<-done
-		return true
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
 // mergeFigures reduces the record-derived figure slots into the report,
-// in slot order, on the coordinating goroutine (rule 3).
+// in slot order.
 func (a *streamAnalysis) mergeFigures(rep *Report) {
 	cfg := a.cfg
 
@@ -949,8 +847,7 @@ func (a *streamAnalysis) mergeFigures(rep *Report) {
 }
 
 // mergeTomo replays the tomography slots in window order, feeding the
-// solver-effort series on the coordinating goroutine (the registry is
-// not goroutine-safe).
+// solver-effort series.
 func (a *streamAnalysis) mergeTomo(rep *Report) {
 	reg := a.reg
 	var f12 Fig12Data

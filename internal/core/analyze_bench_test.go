@@ -33,22 +33,9 @@ func benchSim(b *testing.B) *RunResult {
 	return benchSimRR
 }
 
-// BenchmarkAnalyzeSmall times the pipeline on a single worker — the
-// sequential baseline of BENCH_analyze.json.
+// BenchmarkAnalyzeSmall times the in-memory analysis pipeline on a
+// shortened SmallRun.
 func BenchmarkAnalyzeSmall(b *testing.B) {
-	rr := benchSim(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeRun(context.Background(), rr, WithSequential()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzeParallel times the pipeline at the default
-// parallelism (GOMAXPROCS workers). Output is bit-identical to the
-// sequential run; only the wall clock should move.
-func BenchmarkAnalyzeParallel(b *testing.B) {
 	rr := benchSim(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,8 @@ import (
 // bit-by-bit, and the formatted remainder of the struct (fmt prints
 // maps in sorted key order, so the formatting is deterministic). Two
 // reports produced by deterministically-equivalent executions — any
-// worker count, streaming or in-memory, fleet or standalone — hash
+// GOMAXPROCS, streaming or in-memory, fused or two-phase, fleet or
+// standalone — hash
 // identically. The digest is what TestFleetMatchesStandalone asserts
 // and what the dcsweep manifest records per run.
 func ReportDigest(rep *Report) (string, error) {

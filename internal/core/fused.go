@@ -40,8 +40,10 @@ func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
 // the drain. The §2 compression ratio is measured as records complete.
 // End-to-end wall clock approaches max(simulate, analyze) instead of
 // their sum, and the report is bit-identical to Run followed by
-// AnalyzeRun at any worker count on either side (enforced by
-// TestRunAnalyzeMatchesTwoPhase).
+// AnalyzeRun at any GOMAXPROCS and live-buffer bound (enforced by
+// TestRunAnalyzeMatchesTwoPhase). The analysis runs on the calling
+// goroutine; the simulator gets its own, and the collector's
+// compression meter another.
 //
 // Options: analysis options apply as in AnalyzeSource; WithRunOptions
 // forwards simulator options; WithLiveBuffer bounds the seam's FIFO.

@@ -23,9 +23,9 @@ func fusedTestConfig(seed uint64) RunConfig {
 
 // TestRunAnalyzeMatchesTwoPhase is the acceptance gate of the fused
 // pipeline: RunAnalyze's report must be bit-identical to the two-phase
-// simulate → materialize → analyze path, across seeds, GOMAXPROCS and
-// the analyzer's worker count — including legs with a tiny live buffer
-// that forces backpressure stalls.
+// simulate → materialize → analyze path, across seeds and GOMAXPROCS —
+// including legs with a tiny live buffer that forces backpressure
+// stalls.
 func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a matrix of full simulations")
@@ -36,7 +36,7 @@ func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := reportDigest(t, mustAnalyze(t, rr, WithSequential()))
+		want := reportDigest(t, mustAnalyze(t, rr))
 
 		prev := runtime.GOMAXPROCS(0)
 		type leg struct {
@@ -51,7 +51,7 @@ func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 		}
 		for _, m := range matrix {
 			runtime.GOMAXPROCS(m.gmp)
-			opts := []AnalyzeOption{WithParallelism(8)}
+			var opts []AnalyzeOption
 			if m.liveCap > 0 {
 				opts = append(opts, WithLiveBuffer(m.liveCap))
 			}
@@ -67,15 +67,6 @@ func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
-
-		// The sequential-analyzer escape hatch through the fused path.
-		_, rep, err := RunAnalyze(context.Background(), cfg, WithSequential())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reportDigest(t, rep); got != want {
-			t.Fatalf("seed %d: sequential fused digest %s != two-phase %s", seed, got, want)
-		}
 	}
 }
 

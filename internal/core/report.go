@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"dctraffic/internal/congestion"
@@ -14,29 +13,15 @@ import (
 )
 
 // AnalyzeOptions tunes the per-figure analyses. ApplyDefaults fills zero
-// fields. It remains the underlying knob set of the streaming pipeline
-// (AnalyzeSource's config embeds it), but callers should prefer the
-// equivalent WithX functional options.
-//
-// Deprecated: configure AnalyzeRun/AnalyzeSource with AnalyzeOption
-// values instead of passing this struct to Analyze/AnalyzeContext.
+// fields. It is the knob set of the streaming pipeline (AnalyzeSource's
+// config embeds it); callers set it through the equivalent WithX
+// functional options.
 type AnalyzeOptions struct {
-	// Parallelism bounds the worker goroutines of the analysis pipeline.
-	// 0 means runtime.GOMAXPROCS(0). Any value yields bit-identical
-	// results (see parallel.go's determinism contract): workers only
-	// decide how many of the fixed task graph's tasks run at once.
-	Parallelism int
-
-	// Sequential forces Parallelism 1 — the escape hatch for debugging
-	// and for timing the pipeline without concurrency. The same sharded
-	// algorithm runs on a single goroutine, so results are identical.
-	Sequential bool
-
 	// Observer, when non-nil, receives per-stage wall-clock phases
 	// ("analyze.index", "analyze.figures", "analyze.congestion") and
 	// pipeline counters. Like the simulator's registry it must not be
-	// read concurrently; the pipeline touches it only from the
-	// coordinating goroutine.
+	// read concurrently; the pipeline touches it only from the goroutine
+	// that calls AnalyzeSource.
 	Observer *obs.Registry
 
 	// Fig2Window is the short window whose server TM shows the patterns
@@ -69,13 +54,6 @@ type AnalyzeOptions struct {
 	TomoMaxTMs int
 	// JobPriorAlpha scales the §5.3 multiplier.
 	JobPriorAlpha float64
-	// TomoCold disables warm-starting the sparsity-max simplex across
-	// consecutive tomography windows. Warm starts (the default) return a
-	// different — equally valid — basic feasible solution for some
-	// windows, which shifts the sparsity-max figure series; TomoCold
-	// reproduces the pre-warm-start digests exactly. Tomogravity series
-	// are bit-identical either way.
-	TomoCold bool
 }
 
 // ApplyDefaults returns o with zero fields replaced by defaults scaled to
@@ -265,37 +243,4 @@ type Fig14Data struct {
 	// HeavyHitterHits is the mean number of sparsity-max non-zeros that
 	// land on true 97th-percentile entries (paper: only 5–20).
 	HeavyHitterHits float64
-}
-
-// Analyze regenerates every figure from a run.
-//
-// Deprecated: Analyze is the legacy struct-options entry point, kept so
-// existing callers keep working unchanged. New code should call
-// AnalyzeRun (or AnalyzeSource over a trace.Source) with functional
-// options. This shim routes through the same streaming pipeline, so
-// the Report is bit-identical to the replacement's.
-func Analyze(rr *RunResult, opts AnalyzeOptions) *Report {
-	rep, err := AnalyzeContext(context.Background(), rr, opts)
-	if err != nil {
-		// Only cancellation or a malformed source can fail the pipeline,
-		// and a run's own record slice is neither cancellable nor
-		// malformed.
-		panic(err)
-	}
-	return rep
-}
-
-// AnalyzeContext regenerates every figure from a run under a context.
-//
-// Deprecated: use AnalyzeRun, which takes the same knobs as functional
-// options. This shim forwards the whole struct in one option, so the
-// two are interchangeable call-for-call.
-func AnalyzeContext(ctx context.Context, rr *RunResult, opts AnalyzeOptions) (*Report, error) {
-	return AnalyzeRun(ctx, rr, opts.asOption())
-}
-
-// asOption adapts the legacy struct to the functional-options config:
-// the config embeds AnalyzeOptions, so the struct is copied in whole.
-func (o AnalyzeOptions) asOption() AnalyzeOption {
-	return func(c *analyzeConfig) { c.AnalyzeOptions = o }
 }

@@ -2,9 +2,10 @@
 // cluster, run the workload under instrumentation, and regenerate every
 // table and figure of the paper from the collected logs.
 //
-// The two entry points are Simulate (workload → socket-level logs) and
-// Analyze (logs → Report, one field per figure). cmd/dcanalyze and
-// bench_test.go are thin wrappers over these.
+// The entry points are Run (workload → socket-level logs), AnalyzeRun
+// and AnalyzeSource (logs → Report, one field per figure), and
+// RunAnalyze, which fuses the two. cmd/dcanalyze and bench_test.go are
+// thin wrappers over these.
 package core
 
 import (

@@ -48,9 +48,8 @@ func streamDigest(t *testing.T, path string, chunk int, rr *RunResult, opts ...A
 // TestAnalyzeStreamMatchesInMemory is the acceptance gate of the
 // streaming redesign: a trace streamed from disk through the external
 // sort must produce a report bit-identical to the in-memory path, for
-// every combination of seed, GOMAXPROCS, worker count and sort-chunk
-// size (512 forces multi-chunk spill-and-merge; 0 keeps the trace in
-// one chunk).
+// every combination of seed, GOMAXPROCS and sort-chunk size (512 forces
+// multi-chunk spill-and-merge; 0 keeps the trace in one chunk).
 func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two shortened simulations + a matrix of analyses")
@@ -65,16 +64,13 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := writeTraceFile(t, rr)
-		want := reportDigest(t, mustAnalyze(t, rr, WithSequential()))
+		want := reportDigest(t, mustAnalyze(t, rr))
 
-		if got := streamDigest(t, path, 512, rr, WithSequential()); got != want {
-			t.Fatalf("seed %d: sequential stream digest %s != in-memory %s", seed, got, want)
-		}
 		prev := runtime.GOMAXPROCS(0)
 		for _, gmp := range []int{1, runtime.NumCPU()} {
 			runtime.GOMAXPROCS(gmp)
 			for _, chunk := range []int{512, 0} {
-				if got := streamDigest(t, path, chunk, rr, WithParallelism(8)); got != want {
+				if got := streamDigest(t, path, chunk, rr); got != want {
 					runtime.GOMAXPROCS(prev)
 					t.Fatalf("seed %d: GOMAXPROCS=%d chunk=%d stream digest %s != in-memory %s",
 						seed, gmp, chunk, got, want)
@@ -127,18 +123,6 @@ func TestAnalyzeTraceOnlyPathMatches(t *testing.T) {
 	}
 	if len(fileRep.Fig5.Episodes) != 0 || fileRep.Fig12.NumTMs != 0 {
 		t.Fatal("trace-only analysis should leave run-gated figures empty")
-	}
-}
-
-// TestAnalyzeShimEquivalence keeps the deprecated struct-options
-// surface honest: Analyze must be a pure wrapper over the functional
-// options it deprecates.
-func TestAnalyzeShimEquivalence(t *testing.T) {
-	rr, _ := smallRun(t)
-	legacy := Analyze(rr, AnalyzeOptions{Parallelism: 2, TomoCold: true})
-	modern := mustAnalyze(t, rr, WithParallelism(2), WithTomoCold())
-	if got, want := reportDigest(t, legacy), reportDigest(t, modern); got != want {
-		t.Fatalf("deprecated Analyze digest %s != AnalyzeRun digest %s", got, want)
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"dctraffic/internal/obs"
+	"dctraffic/internal/tm"
+	"dctraffic/internal/tomo"
+	"dctraffic/internal/trace"
 )
 
 // bitsEqualSeries fails unless two figure series match bit for bit.
@@ -22,30 +25,67 @@ func bitsEqualSeries(t *testing.T, label string, want, got []float64) {
 }
 
 // TestAnalyzeTomoColdVsWarm pins the warm-start digest policy: warm
-// starts may only move the sparsity-max series. Every tomogravity-family
-// series must stay bit-identical to a TomoCold run (which in turn
-// reproduces the pre-warm-start Problem methods bit for bit — see the
-// tomo package's Estimator tests), and both runs must analyze the same
-// set of windows.
+// starts may only move the sparsity-max series. The analysis solves its
+// tomography windows as one warm estimator chain; replaying the same
+// windows cold, through the Problem methods, must analyze the same set
+// of windows and reproduce every tomogravity-family series bit for bit.
 func TestAnalyzeTomoColdVsWarm(t *testing.T) {
 	rr, warm := smallRun(t)
-	cold := mustAnalyze(t, rr, WithTomoCold())
-
 	if warm.Fig12.NumTMs == 0 {
 		t.Fatal("no tomography windows analyzed")
 	}
-	if warm.Fig12.NumTMs != cold.Fig12.NumTMs {
-		t.Fatalf("window counts differ: warm %d vs cold %d", warm.Fig12.NumTMs, cold.Fig12.NumTMs)
+
+	duration := rr.Config.Duration
+	opts := AnalyzeOptions{}.ApplyDefaults(duration)
+	view := trace.NewRecordView(rr.Records(), rr.Top)
+	p := tomo.NewProblem(rr.Top)
+	windows := min(int((duration+opts.TomoBin-1)/opts.TomoBin), opts.TomoMaxTMs)
+	var cold Fig12Data
+	for i := 0; i < windows; i++ {
+		from, to := tm.SeriesBinWindow(i, opts.TomoBin, duration)
+		var slice []trace.FlowRecord
+		view.Overlapping(from, to, func(r trace.FlowRecord) { slice = append(slice, r) })
+		truth := tm.TorMatrix(slice, rr.Top, from, to)
+		if truth.Total() <= 0 {
+			continue
+		}
+		b := p.LinkCounts(truth)
+		xTrue := p.VecFromTM(truth)
+		tg, err := p.Tomogravity(b)
+		if err != nil {
+			continue
+		}
+		mult := tomo.JobMultiplier(rr.Log, rr.Top, from, from+opts.TomoBin, opts.JobPriorAlpha)
+		tj, err := p.TomogravityWithMultiplier(b, mult)
+		if err != nil {
+			continue
+		}
+		roleMult := tomo.RoleAwareMultiplier(rr.Log, rr.Top, from, from+opts.TomoBin, opts.JobPriorAlpha)
+		tr, err := p.TomogravityWithMultiplier(b, roleMult)
+		if err != nil {
+			continue
+		}
+		if _, err := p.SparsityMax(b); err != nil {
+			continue
+		}
+		cold.NumTMs++
+		cold.Tomogravity = append(cold.Tomogravity, tomo.RMSRE(xTrue, tg, 0.75))
+		cold.TomogravityJobs = append(cold.TomogravityJobs, tomo.RMSRE(xTrue, tj, 0.75))
+		cold.TomogravityRoles = append(cold.TomogravityRoles, tomo.RMSRE(xTrue, tr, 0.75))
 	}
-	bitsEqualSeries(t, "Fig12.Tomogravity", cold.Fig12.Tomogravity, warm.Fig12.Tomogravity)
-	bitsEqualSeries(t, "Fig12.TomogravityJobs", cold.Fig12.TomogravityJobs, warm.Fig12.TomogravityJobs)
-	bitsEqualSeries(t, "Fig12.TomogravityRoles", cold.Fig12.TomogravityRoles, warm.Fig12.TomogravityRoles)
+
+	if warm.Fig12.NumTMs != cold.NumTMs {
+		t.Fatalf("window counts differ: warm %d vs cold %d", warm.Fig12.NumTMs, cold.NumTMs)
+	}
+	bitsEqualSeries(t, "Fig12.Tomogravity", cold.Tomogravity, warm.Fig12.Tomogravity)
+	bitsEqualSeries(t, "Fig12.TomogravityJobs", cold.TomogravityJobs, warm.Fig12.TomogravityJobs)
+	bitsEqualSeries(t, "Fig12.TomogravityRoles", cold.TomogravityRoles, warm.Fig12.TomogravityRoles)
 }
 
 // TestAnalyzeTomoSolverSeries checks the solver-effort observability:
-// a default (warm) run reports per-window pivot and refactorization
-// histograms covering every analyzed window plus warm/cold counters
-// that partition them, and a TomoCold run reports zero warm windows.
+// a run reports per-window pivot and refactorization histograms
+// covering every analyzed window plus warm/cold counters that partition
+// them, and warm repair engages.
 func TestAnalyzeTomoSolverSeries(t *testing.T) {
 	rr, _ := smallRun(t)
 
@@ -71,13 +111,5 @@ func TestAnalyzeTomoSolverSeries(t *testing.T) {
 	}
 	if nWarm == 0 {
 		t.Fatal("warm repair never engaged on the default pipeline")
-	}
-
-	regCold := obs.NewRegistry()
-	if _, err := AnalyzeRun(context.Background(), rr, WithAnalysisObserver(regCold), WithTomoCold()); err != nil {
-		t.Fatal(err)
-	}
-	if v := regCold.Snapshot().Value("tomo.windows_warm"); v != 0 {
-		t.Fatalf("TomoCold run reported %v warm windows", v)
 	}
 }

@@ -3,11 +3,10 @@
 // concurrency cap and one memory budget, and merges their reports and
 // metrics in config order. Each admitted run gets one goroutine, which
 // drives core.RunAnalyze; the goroutines that pipeline starts (its
-// simulator, its analysis pool, its compression meter) are the run's
-// own, and the Go scheduler shares the cores between runs.
+// simulator and its compression meter) are the run's own, and the Go
+// scheduler shares the cores between runs.
 //
-// The three-rule determinism contract of internal/core extends across
-// runs:
+// The three-rule determinism contract (DESIGN.md §5) governs the runs:
 //
 //  1. Runs are independent domains — no shared mutable state. Each run
 //     gets its own registries, collector, RNGs; the only shared objects

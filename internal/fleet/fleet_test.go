@@ -124,20 +124,17 @@ func TestFleetMatchesStandalone(t *testing.T) {
 }
 
 // TestFleetRaceSmoke is the race-detector leg for the executor: two
-// concurrent pipelines, each with a 2-worker analysis pool, sharing the
-// topology cache and the admission gate. Results are still checked
-// against each other (same seed, same fabric → same digest).
+// concurrent pipelines sharing the topology cache and the admission
+// gate. Results are still checked against each other (same seed, same
+// fabric → same digest).
 func TestFleetRaceSmoke(t *testing.T) {
 	specs := []RunSpec{
 		{Name: "a", Config: sweepConfig(1, false)},
 		{Name: "b", Config: sweepConfig(1, false)},
 	}
-	// An explicit analysis worker count >1 so the pools start even on a
-	// single-proc box.
 	res, err := Execute(context.Background(), specs, Options{
 		Concurrency: 2,
 		MaxHeapMB:   -1,
-		AnalyzeOpts: []core.AnalyzeOption{core.WithParallelism(2)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +231,8 @@ func TestEstimatePeakMBDeterministicAndMonotone(t *testing.T) {
 // TestFleetFailedAnalysisLeavesNoGoroutine: a run whose analysis fails
 // mid-sweep (its context is canceled from the analysis progress hook)
 // fails alone in its outcome, and the executor returns with every
-// goroutine it started joined — each run's own, its simulator, its
-// analysis pool's workers and its compression meter.
+// goroutine it started joined — each run's own, its simulator and its
+// compression meter.
 func TestFleetFailedAnalysisLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

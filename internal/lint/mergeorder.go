@@ -8,7 +8,7 @@ import (
 )
 
 // MergeOrder enforces rule 3 of the parallel determinism contract
-// (internal/core/parallel.go): results are merged on one goroutine in a
+// (DESIGN.md §5, invariant 5): results are merged on one goroutine in a
 // fixed order, never accumulated concurrently. It flags, inside
 // goroutine contexts,
 //

@@ -7,7 +7,7 @@ import (
 )
 
 // SharedSlot enforces rule 2 of the parallel determinism contract
-// (internal/core/parallel.go): goroutine-reachable code may write
+// (DESIGN.md §5, invariant 5): goroutine-reachable code may write
 // captured state only through a disjoint, pre-sized slot derived from
 // the task's own span/index parameters. It flags
 //

@@ -76,18 +76,6 @@ type ClusterShape struct {
 // Servers reports the cluster server count.
 func (s ClusterShape) Servers() int { return s.Racks * s.ServersPerRack }
 
-// PaperDefaults returns parameters hand-tuned to reproduce the paper's
-// reported statistics at the given cluster shape.
-//
-// Deprecated: use PaperDefaultsFor with a ClusterShape.
-func PaperDefaults(racks, serversPerRack, externalHosts int) Params {
-	return PaperDefaultsFor(ClusterShape{
-		Racks:          racks,
-		ServersPerRack: serversPerRack,
-		ExternalHosts:  externalHosts,
-	})
-}
-
 // PaperDefaultsFor returns parameters hand-tuned to reproduce the paper's
 // reported statistics at the given cluster shape: ~89%/99.5% silent pairs,
 // median ≈2 within-rack and ≈4 cross-rack correspondents, non-zero entries

@@ -22,7 +22,7 @@ func paperTop() *topology.Topology {
 
 func TestGenerateTMSparsity(t *testing.T) {
 	top := paperTop()
-	p := PaperDefaults(20, 20, 10)
+	p := PaperDefaultsFor(ClusterShape{Racks: 20, ServersPerRack: 20, ExternalHosts: 10})
 	rng := stats.NewRNG(1)
 	// Average the statistics over several windows.
 	var zeroWithin, zeroAcross float64
@@ -49,7 +49,7 @@ func TestGenerateTMSparsity(t *testing.T) {
 
 func TestGenerateTMCorrespondents(t *testing.T) {
 	top := paperTop()
-	p := PaperDefaults(20, 20, 10)
+	p := PaperDefaultsFor(ClusterShape{Racks: 20, ServersPerRack: 20, ExternalHosts: 10})
 	rng := stats.NewRNG(2)
 	var medWithin, medAcross float64
 	const trials = 8
@@ -72,7 +72,7 @@ func TestGenerateTMCorrespondents(t *testing.T) {
 
 func TestGenerateTMEntryMagnitudes(t *testing.T) {
 	top := paperTop()
-	p := PaperDefaults(20, 20, 10)
+	p := PaperDefaultsFor(ClusterShape{Racks: 20, ServersPerRack: 20, ExternalHosts: 10})
 	m := p.GenerateTM(stats.NewRNG(3))
 	es := tm.ComputeEntryStats(m, top)
 	if len(es.WithinRack) == 0 || len(es.AcrossRack) == 0 {
@@ -94,7 +94,7 @@ func TestGenerateTMEntryMagnitudes(t *testing.T) {
 
 func TestGenerateTMHasScatterAndExternal(t *testing.T) {
 	top := paperTop()
-	p := PaperDefaults(20, 20, 10)
+	p := PaperDefaultsFor(ClusterShape{Racks: 20, ServersPerRack: 20, ExternalHosts: 10})
 	m := p.GenerateTM(stats.NewRNG(4))
 	ps := tm.SummarizePatterns(m, top)
 	if ps.ScatterGatherRows == 0 {
@@ -109,7 +109,7 @@ func TestGenerateTMHasScatterAndExternal(t *testing.T) {
 }
 
 func TestGenerateFlowsConserveBytes(t *testing.T) {
-	p := PaperDefaults(4, 5, 2)
+	p := PaperDefaultsFor(ClusterShape{Racks: 4, ServersPerRack: 5, ExternalHosts: 2})
 	rng := stats.NewRNG(5)
 	m := p.GenerateTM(rng)
 	recs := p.GenerateFlows(rng, m, DefaultFlowShape(), 0, 1)
@@ -130,7 +130,7 @@ func TestGenerateFlowsConserveBytes(t *testing.T) {
 }
 
 func TestGenerateFlowsIDsAndPorts(t *testing.T) {
-	p := PaperDefaults(4, 5, 2)
+	p := PaperDefaultsFor(ClusterShape{Racks: 4, ServersPerRack: 5, ExternalHosts: 2})
 	rng := stats.NewRNG(6)
 	m := p.GenerateTM(rng)
 	recs := p.GenerateFlows(rng, m, DefaultFlowShape(), 30*time.Second, 100)
@@ -151,7 +151,7 @@ func TestGenerateFlowsIDsAndPorts(t *testing.T) {
 
 func TestFitRoundTrip(t *testing.T) {
 	top := paperTop()
-	p := PaperDefaults(20, 20, 10)
+	p := PaperDefaultsFor(ClusterShape{Racks: 20, ServersPerRack: 20, ExternalHosts: 10})
 	rng := stats.NewRNG(7)
 	m := p.GenerateTM(rng)
 	fit := Fit(m, top, p.Window)
@@ -185,7 +185,7 @@ func TestFitDegenerateMatrix(t *testing.T) {
 }
 
 func TestDeterministicGeneration(t *testing.T) {
-	p := PaperDefaults(8, 10, 4)
+	p := PaperDefaultsFor(ClusterShape{Racks: 8, ServersPerRack: 10, ExternalHosts: 4})
 	a := p.GenerateTM(stats.NewRNG(10))
 	b := p.GenerateTM(stats.NewRNG(10))
 	// Entry-wise identity (Total() sums in map order, so FP rounding can
@@ -197,7 +197,7 @@ func TestDeterministicGeneration(t *testing.T) {
 
 func TestExpectedTotalCalibration(t *testing.T) {
 	top := paperTop()
-	p := PaperDefaults(20, 20, 10)
+	p := PaperDefaultsFor(ClusterShape{Racks: 20, ServersPerRack: 20, ExternalHosts: 10})
 	rng := stats.NewRNG(20)
 	m := p.GenerateTM(rng)
 	fit := Fit(m, top, p.Window)
@@ -222,7 +222,7 @@ func TestExpectedTotalCalibration(t *testing.T) {
 }
 
 func TestSeriesGenCorrelation(t *testing.T) {
-	p := PaperDefaults(8, 10, 4)
+	p := PaperDefaultsFor(ClusterShape{Racks: 8, ServersPerRack: 10, ExternalHosts: 4})
 	// Correlated series: consecutive windows share active servers and
 	// hubs, so the normalized change is lower than independent redraws.
 	const windows = 30
@@ -249,7 +249,7 @@ func TestSeriesGenCorrelation(t *testing.T) {
 }
 
 func TestSeriesGenDeterministicAndAlive(t *testing.T) {
-	p := PaperDefaults(8, 10, 4)
+	p := PaperDefaultsFor(ClusterShape{Racks: 8, ServersPerRack: 10, ExternalHosts: 4})
 	run := func(seed uint64) []float64 {
 		gen := p.NewSeriesGen(stats.NewRNG(seed))
 		var totals []float64

@@ -260,9 +260,9 @@ func (s *QuantileSketch) Points(n int) []Point {
 // input sequence. cap <= 0 means never sketch (fully exact).
 //
 // It intentionally offers no Merge-with-StreamCDF: whole-run streaming
-// statistics are accumulated on the coordinator in canonical record
-// order, and shard-built exact CDFs merge in via MergeCDF in slot
-// order, keeping the three-rule determinism contract intact.
+// statistics are accumulated on one goroutine in canonical record
+// order, and chunk-built exact CDFs merge in via MergeCDF in chunk
+// order, so the result is a pure function of the record sequence.
 type StreamCDF struct {
 	cap   int
 	n     int64

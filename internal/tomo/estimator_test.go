@@ -88,14 +88,22 @@ func TestEstimatorMatchesProblemBitwise(t *testing.T) {
 // TestEstimatorWarmSparsityMax drives a warm estimator over drifting
 // windows on the real small topology and checks the warm-start contract:
 // feasibility within the certification tolerance, the rank sparsity bound,
-// and that warm repair engages at least once.
+// and that warm repair engages at least once. Warm starts may move only
+// the sparsity-max estimate: after every warm solve, TomogravityInto and
+// TomogravityWithMultiplierInto still equal the Problem methods bit for
+// bit, so the analysis's tomogravity series never depend on the chain.
 func TestEstimatorWarmSparsityMax(t *testing.T) {
 	p, top := smallProblem(t)
 	e := p.NewEstimator(EstimatorOptions{})
 	r := stats.NewRNG(17)
 	truth := randomTorTM(top, 5)
+	mult := make([]float64, p.NumPairs())
+	mr := stats.NewRNG(18)
+	for i := range mult {
+		mult[i] = 1 + mr.Float64()
+	}
 	warms := 0
-	var b, sm []float64
+	var b, sm, tg, tj []float64
 	for step := 0; step < 12; step++ {
 		b = e.LinkCountsInto(b, truth)
 		var err error
@@ -106,6 +114,18 @@ func TestEstimatorWarmSparsityMax(t *testing.T) {
 		if st := e.SolveStats(); st.Warm {
 			warms++
 		}
+		tgWant, err1 := p.Tomogravity(b)
+		tg, err = e.TomogravityInto(tg, b)
+		if err1 != nil || err != nil {
+			t.Fatalf("step %d: tomogravity errors: %v %v", step, err1, err)
+		}
+		bitsEqual(t, "Tomogravity", tgWant, tg)
+		tjWant, err1 := p.TomogravityWithMultiplier(b, mult)
+		tj, err = e.TomogravityWithMultiplierInto(tj, b, mult)
+		if err1 != nil || err != nil {
+			t.Fatalf("step %d: multiplier errors: %v %v", step, err1, err)
+		}
+		bitsEqual(t, "TomogravityWithMultiplier", tjWant, tj)
 		maxAbsB := 0.0
 		for _, v := range b {
 			maxAbsB = math.Max(maxAbsB, math.Abs(v))

@@ -10,12 +10,12 @@ import (
 // WindowView is the sliding-window counterpart of RecordView: it holds
 // only the records that windows not yet retired can still reach, and it
 // exposes the identical O(log n + |window|) slicing contract over that
-// buffer. The analysis coordinator Appends records in canonical
-// (Start, ID) order as the source delivers them, Seals the delivery
-// watermark up to each window boundary, hands each closing figure
-// window its own Slice copy, and Retires everything older than the
-// earliest window still open — which is what makes whole-trace analysis
-// O(max window span), not O(trace).
+// buffer. The analysis sweep Appends records in canonical (Start, ID)
+// order as the source delivers them, Seals the delivery watermark up
+// to each window boundary, computes each closing figure window from
+// its own Slice copy, and Retires everything older than the earliest
+// window still open — which is what makes whole-trace analysis O(max
+// window span), not O(trace).
 //
 // The contract is enforced, not advisory: slicing a window that
 // reaches below the retirement watermark or past the delivery
@@ -124,8 +124,9 @@ func (w *WindowView) Overlapping(from, to netsim.Time, fn func(FlowRecord)) {
 }
 
 // Slice returns a fresh copy of the records overlapping [from, to), in
-// canonical order. Figure tasks run on these copies, so retirement and
-// compaction never race with in-flight tasks.
+// canonical order. A copy stays valid after retirement and compaction,
+// so a window can be parked and computed later (fused tomography waits
+// for the run to drain).
 func (w *WindowView) Slice(from, to netsim.Time) []FlowRecord {
 	w.checkWindow(from, to)
 	lo, hi := w.overlapRange(from, to)
