@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short smoke-metrics smoke-stream smoke-fused smoke-sweep bench bench-snapshot figures day paper-day clean
+.PHONY: all build vet lint test test-short fuzz smoke-metrics smoke-stream smoke-fused smoke-sweep bench bench-snapshot figures day paper-day clean
 
 all: build vet lint test
 
@@ -42,6 +42,14 @@ test: vet lint
 
 test-short:
 	$(GO) test -short ./...
+
+# The trace codec's fuzz targets, 10 s each (-fuzz takes one target per
+# run): the decoders against encoding/json as the oracle (same verdict,
+# same records), and the encoder against json.Marshal byte for byte.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONLGz$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSONL$$' -fuzztime 10s ./internal/trace
 
 # End-to-end observability smoke test: a short SmallRun-shaped dcsim
 # with -progress and -metrics, then dcmetrics asserts the snapshot

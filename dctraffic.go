@@ -269,7 +269,9 @@ func ReadTrace(r io.Reader) ([]FlowRecord, error) { return trace.ReadJSONL(r) }
 func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
 
 // NewTraceReader returns a streaming trace reader; Read returns io.EOF
-// at end of stream.
+// at end of stream. It accepts any stream of JSON values, decoded as
+// encoding/json decodes them; lines in TraceWriter's form (the form
+// dcsim writes) read fast, without reflection.
 func NewTraceReader(r io.Reader) *TraceReader { return trace.NewReader(r) }
 
 // ServerMatrix aggregates flow records into one host-level TM over

@@ -13,11 +13,12 @@ import (
 // Binary trace codec. JSONL (Writer/Reader) stays the interchange
 // format dcsim emits and dcanalyze reads; the binary codec exists for
 // internal I/O on hot paths — FileSource's external-sort spill chunks
-// read and write it — where parsing dominates. The stream is a 6-byte
-// header (4-byte magic, a format byte, a version byte) followed by
-// length-prefixed little-endian records: a uvarint payload length, then
-// the fixed 78-byte v1 payload. The length prefix is what lets future
-// versions grow the payload without breaking old readers' framing.
+// read and write it — where its records, half the size of JSONL lines,
+// spill and merge faster. The stream is a 6-byte header (4-byte magic,
+// a format byte, a version byte) followed by length-prefixed
+// little-endian records: a uvarint payload length, then the fixed
+// 78-byte v1 payload. The length prefix is what lets future versions
+// grow the payload without breaking old readers' framing.
 const (
 	binaryFormatFixed   = 0x01 // fixed-width record payloads
 	binaryVersion       = 0x01

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -71,7 +70,7 @@ func compressionRatio(raw, comp int64) float64 {
 type gzEncoder struct {
 	raw, comp countingWriter
 	gz        *gzip.Writer
-	enc       *json.Encoder
+	buf       []byte // one encoded line, reused
 	n         int
 }
 
@@ -79,12 +78,12 @@ func newGzEncoder(w io.Writer) *gzEncoder {
 	e := &gzEncoder{comp: countingWriter{w: w}}
 	e.gz = gzip.NewWriter(&e.comp)
 	e.raw.w = e.gz
-	e.enc = json.NewEncoder(&e.raw)
 	return e
 }
 
 func (e *gzEncoder) encode(rec *FlowRecord) error {
-	if err := e.enc.Encode(rec); err != nil {
+	e.buf = appendJSONL(e.buf[:0], rec)
+	if _, err := e.raw.Write(e.buf); err != nil {
 		return fmt.Errorf("trace: encode record %d: %w", e.n, err)
 	}
 	e.n++

@@ -84,8 +84,9 @@ const (
 // in one chunk never touches disk. Memory is O(SortChunk) during
 // loading and O(fan-in) during streaming. Spills use the binary codec
 // (binary.go) — spill/merge is internal I/O, invisible to callers, and
-// the fixed-width format parses several times faster than JSONL —
-// while JSONL stays the interchange format of the trace file itself.
+// the fixed-width records are half the size of JSONL lines and faster
+// to write and read — while JSONL stays the interchange format of the
+// trace file itself.
 //
 // Collector output is nearly sorted already (completion order), so
 // spill chunks overlap only slightly and the merge heap stays shallow.

@@ -16,10 +16,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
 
 	"dctraffic/internal/netsim"
@@ -339,88 +335,5 @@ func (c *Collector) StopCompressionMeter() {
 	<-m.done
 	if m.err != nil {
 		c.meter = nil
-	}
-}
-
-// Writer streams flow records to an io.Writer one JSON line at a time
-// (the format cmd/dcsim emits and cmd/dcanalyze reads), so a
-// paper-scale trace never needs to be fully materialized in memory.
-// Call Flush when done.
-type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	n   int
-}
-
-// NewWriter returns a streaming JSONL trace writer over w.
-func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// Write appends one record to the stream.
-func (w *Writer) Write(rec *FlowRecord) error {
-	if err := w.enc.Encode(rec); err != nil {
-		return fmt.Errorf("trace: encode record %d: %w", w.n, err)
-	}
-	w.n++
-	return nil
-}
-
-// Count reports the number of records written so far.
-func (w *Writer) Count() int { return w.n }
-
-// Flush writes any buffered output to the underlying writer.
-func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// Reader streams flow records from a JSONL trace one record at a time.
-type Reader struct {
-	dec *json.Decoder
-	n   int
-}
-
-// NewReader returns a streaming JSONL trace reader over r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{dec: json.NewDecoder(bufio.NewReader(r))}
-}
-
-// Read returns the next record. It returns io.EOF (unwrapped) at the
-// end of the stream.
-func (r *Reader) Read() (FlowRecord, error) {
-	var rec FlowRecord
-	if err := r.dec.Decode(&rec); err == io.EOF {
-		return rec, io.EOF
-	} else if err != nil {
-		return rec, fmt.Errorf("trace: decode record %d: %w", r.n, err)
-	}
-	r.n++
-	return rec, nil
-}
-
-// WriteJSONL writes a fully-materialized record slice as JSONL — a
-// convenience over Writer for in-memory traces.
-func WriteJSONL(w io.Writer, records []FlowRecord) error {
-	tw := NewWriter(w)
-	for i := range records {
-		if err := tw.Write(&records[i]); err != nil {
-			return err
-		}
-	}
-	return tw.Flush()
-}
-
-// ReadJSONL parses an entire JSONL flow-record stream into memory — a
-// convenience over Reader for small traces.
-func ReadJSONL(r io.Reader) ([]FlowRecord, error) {
-	tr := NewReader(r)
-	var out []FlowRecord
-	for {
-		rec, err := tr.Read()
-		if err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
 	}
 }
