@@ -29,28 +29,27 @@ func tomoSized(racks int, seed uint64) (*linalg.Matrix, []float64) {
 	return a, a.MulVec(x)
 }
 
-// benchFeasible runs the cold sparsity-max solve through both engines:
-// the revised sparse solver (the default) and the dense tableau it is
-// pinned against.
+// benchFeasible runs the cold sparsity-max solve through the revised
+// sparse solver and through the dense tableau it is pinned against.
 func benchFeasible(b *testing.B, racks int, seed uint64) {
 	a, rhs := tomoSized(racks, seed)
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"sparse", Options{}},
-		{"dense", Options{Dense: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			s := NewSolver(a, tc.opts)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.FeasibleBasic(rhs); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("sparse", func(b *testing.B) {
+		s := NewSolver(a)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.FeasibleBasic(rhs); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := solveDense(a, rhs, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFeasibleBasic8Racks is the sparsity-max solve at test scale.
@@ -73,7 +72,7 @@ func BenchmarkWarmFeasibleBasic32Racks(b *testing.B) {
 		}
 		rhss[k] = v
 	}
-	s := NewSolver(a, Options{})
+	s := NewSolver(a)
 	for _, v := range rhss {
 		if _, err := s.WarmFeasibleBasic(v); err != nil {
 			b.Fatal(err)

@@ -8,65 +8,271 @@ import (
 	"dctraffic/internal/stats"
 )
 
-// TestLUKernel pins refactor/luFtran/luBtran against the dense SolveLU
-// reference on dense random matrices whose partial pivoting genuinely
-// permutes rows (the warm path is the only consumer of these kernels, so
-// the cold bit-identity tests never exercise them).
-func TestLUKernel(t *testing.T) {
-	for seed := uint64(41); seed < 49; seed++ {
-		r := stats.NewRNG(seed)
-		m := 6
-		a := linalg.NewMatrix(m, m)
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				a.Set(i, j, math.Floor(r.Float64()*10)-4) // forces row swaps
-			}
+// refLUFtran is luFtran as a dense loop over every entry of lu, zeros
+// included: the reference the pattern-walking kernel must equal.
+func refLUFtran(s *Solver, w []float64) {
+	m := s.m
+	lu := s.lu
+	for col := 0; col < m; col++ {
+		if p := s.luPerm[col]; p != col {
+			w[col], w[p] = w[p], w[col]
 		}
-		s := NewSolver(a, Options{})
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = 1
+	}
+	for col := 0; col < m; col++ {
+		wc := w[col]
+		if wc == 0 {
+			continue
 		}
-		s.resetCold(b)
-		for i := 0; i < m; i++ { // basis = all real columns
-			s.pos[s.n+i] = -1
-			s.basic[i] = i
-			s.pos[i] = i
+		for r := col + 1; r < m; r++ {
+			w[r] -= lu[r*m+col] * wc
 		}
-		if err := s.refactor(); err != nil {
-			t.Fatal(err)
+	}
+	for i := m - 1; i >= 0; i-- {
+		sum := w[i]
+		for j := i + 1; j < m; j++ {
+			sum -= lu[i*m+j] * w[j]
 		}
-		w := make([]float64, m)
-		for i := range w {
-			w[i] = r.Float64()*4 - 2
+		w[i] = sum / lu[i*m+i]
+	}
+}
+
+// refLUBtran is luBtran as a dense loop over lu.
+func refLUBtran(s *Solver, w []float64) {
+	m := s.m
+	lu := s.lu
+	for i := 0; i < m; i++ {
+		sum := w[i]
+		for j := 0; j < i; j++ {
+			sum -= lu[j*m+i] * w[j]
 		}
-		got := append([]float64(nil), w...)
-		s.luFtran(got)
-		want, err := linalg.SolveLU(a, w)
-		if err != nil {
-			t.Fatal(err)
+		w[i] = sum / lu[i*m+i]
+	}
+	for i := m - 2; i >= 0; i-- {
+		sum := w[i]
+		for r := i + 1; r < m; r++ {
+			sum -= lu[r*m+i] * w[r]
 		}
+		w[i] = sum
+	}
+	for col := m - 1; col >= 0; col-- {
+		if p := s.luPerm[col]; p != col {
+			w[col], w[p] = w[p], w[col]
+		}
+	}
+}
+
+// refApplyEtas is applyEtas without the skip of zero pivot entries.
+func refApplyEtas(s *Solver, w []float64) {
+	for e := 0; e < len(s.etaRow); e++ {
+		r := s.etaRow[e]
+		w[r] *= s.etaInv[e]
+		wr := w[r]
+		for t := s.etaStart[e]; t < s.etaStart[e+1]; t++ {
+			w[s.etaIdx[t]] -= s.etaVal[t] * wr
+		}
+	}
+}
+
+// checkKernels compares the solver's kernels, on its current factors and
+// eta file, against the dense references with == on every entry (exact
+// equality apart from the sign of a zero): luFtran and the full
+// ftranColumn on every nonbasic column, luBtran on every unit vector.
+func checkKernels(t *testing.T, s *Solver, label string) {
+	t.Helper()
+	if !s.luValid {
+		t.Fatalf("%s: no valid factors", label)
+	}
+	m := s.m
+	got := make([]float64, m)
+	want := make([]float64, m)
+	same := func(kernel string, j int) {
+		t.Helper()
 		for i := range want {
-			if math.Abs(want[i]-got[i]) > 1e-9 {
-				t.Errorf("seed %d: luFtran[%d]: got %v want %v", seed, i, got[i], want[i])
-			}
-		}
-		at := linalg.NewMatrix(m, m)
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				at.Set(i, j, a.At(j, i))
-			}
-		}
-		gotT := append([]float64(nil), w...)
-		s.luBtran(gotT)
-		wantT, err := linalg.SolveLU(at, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantT {
-			if math.Abs(wantT[i]-gotT[i]) > 1e-9 {
-				t.Errorf("seed %d: luBtran[%d]: got %v want %v", seed, i, gotT[i], wantT[i])
+			if got[i] != want[i] {
+				t.Fatalf("%s: %s(%d)[%d]: got %v want %v", label, kernel, j, i, got[i], want[i])
 			}
 		}
 	}
+	for j := 0; j <= s.virtualIdx(); j++ {
+		if s.pos[j] >= 0 {
+			continue
+		}
+		s.loadColumn(j)
+		copy(got, s.v)
+		copy(want, s.v)
+		s.luFtran(got)
+		refLUFtran(s, want)
+		same("luFtran", j)
+		s.loadColumn(j)
+		copy(want, s.v)
+		refLUFtran(s, want)
+		refApplyEtas(s, want)
+		s.ftranColumn(j)
+		copy(got, s.v)
+		same("ftranColumn", j)
+	}
+	for i := 0; i < m; i++ {
+		for k := range got {
+			got[k], want[k] = 0, 0
+		}
+		got[i], want[i] = 1, 1
+		s.luBtran(got)
+		refLUBtran(s, want)
+		same("luBtran", i)
+	}
+}
+
+// TestLUKernel pins refactor's factor patterns and the luFtran, luBtran
+// and applyEtas kernels to the dense references bit for bit (the warm
+// path is their only consumer, so the cold bit-identity tests never
+// exercise them). It runs dense random matrices whose partial pivoting
+// genuinely permutes rows, routing-shaped bases mixing real, artificial
+// and virtual columns, and the factorizations of a warm-started chain.
+func TestLUKernel(t *testing.T) {
+	t.Run("dense", func(t *testing.T) {
+		for seed := uint64(41); seed < 49; seed++ {
+			r := stats.NewRNG(seed)
+			m := 6
+			a := linalg.NewMatrix(m, m)
+			for i := 0; i < m; i++ {
+				for j := 0; j < m; j++ {
+					a.Set(i, j, math.Floor(r.Float64()*10)-4) // forces row swaps
+				}
+			}
+			s := NewSolver(a)
+			b := make([]float64, m)
+			for i := range b {
+				b[i] = 1
+			}
+			s.resetCold(b)
+			for i := 0; i < m; i++ { // basis = all real columns
+				s.pos[s.n+i] = -1
+				s.basic[i] = i
+				s.pos[i] = i
+			}
+			if err := s.refactor(); err != nil {
+				t.Fatal(err)
+			}
+			checkKernels(t, s, "dense")
+			// The references themselves must solve B and Bᵀ.
+			w := make([]float64, m)
+			for i := range w {
+				w[i] = r.Float64()*4 - 2
+			}
+			got := append([]float64(nil), w...)
+			refLUFtran(s, got)
+			want, err := linalg.SolveLU(a, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Abs(want[i]-got[i]) > 1e-9 {
+					t.Errorf("seed %d: refLUFtran[%d]: got %v want %v", seed, i, got[i], want[i])
+				}
+			}
+			at := linalg.NewMatrix(m, m)
+			for i := 0; i < m; i++ {
+				for j := 0; j < m; j++ {
+					at.Set(i, j, a.At(j, i))
+				}
+			}
+			gotT := append([]float64(nil), w...)
+			refLUBtran(s, gotT)
+			wantT, err := linalg.SolveLU(at, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantT {
+				if math.Abs(wantT[i]-gotT[i]) > 1e-9 {
+					t.Errorf("seed %d: refLUBtran[%d]: got %v want %v", seed, i, gotT[i], wantT[i])
+				}
+			}
+		}
+	})
+
+	t.Run("routing", func(t *testing.T) {
+		skipped := 0
+		for seed := uint64(1); seed <= 12; seed++ {
+			r := stats.NewRNG(seed)
+			m := 10 + r.IntN(30)
+			n := m + r.IntN(80)
+			a := randomRouting(r, m, n, 4)
+			x := make([]float64, n)
+			for j := range x {
+				if r.Bool(0.3) {
+					x[j] = r.Float64() * 1e9
+				}
+			}
+			b := a.MulVec(x)
+			duplicateRow(a, b, 0, m-1) // keeps an artificial basic
+			s := NewSolver(a)
+			if _, err := s.FeasibleBasic(b); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if err := s.refactor(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			checkKernels(t, s, "routing")
+			skipped += m*(m-1) - len(s.lCol.idx) - len(s.uRow.idx)
+			// Swap a virtual column in as repairPrimal builds it: the
+			// negated sum of the basic columns of a row set holding rstar,
+			// which keeps the basis nonsingular.
+			rstar := r.IntN(m)
+			for i := range s.aq {
+				s.aq[i] = 0
+			}
+			for i := 0; i < m; i++ {
+				if i != rstar && !r.Bool(0.3) {
+					continue
+				}
+				bj := s.basic[i]
+				if bj >= s.n {
+					s.aq[bj-s.n] -= 1
+					continue
+				}
+				for t := s.csc.ColPtr[bj]; t < s.csc.ColPtr[bj+1]; t++ {
+					row := s.csc.RowIdx[t]
+					s.aq[row] -= s.sign[row] * s.csc.Val[t]
+				}
+			}
+			s.pos[s.basic[rstar]] = -1
+			s.basic[rstar] = s.virtualIdx()
+			s.pos[s.virtualIdx()] = rstar
+			if err := s.refactor(); err != nil {
+				t.Fatalf("seed %d: virtual basis: %v", seed, err)
+			}
+			checkKernels(t, s, "routing+virtual")
+		}
+		if skipped == 0 {
+			t.Fatal("no factor had an exact zero: the skips never engaged")
+		}
+	})
+
+	t.Run("warm-chain", func(t *testing.T) {
+		for seed := uint64(1); seed <= 3; seed++ {
+			r := stats.NewRNG(seed)
+			a, bs := warmSequence(r, 8, 25)
+			s := NewSolver(a)
+			warms := 0
+			for step, b := range bs {
+				if _, err := s.WarmFeasibleBasic(b); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				if s.Stats().Warm {
+					warms++
+					// The solve's last factorization, under the etas of
+					// the pivots that followed it.
+					checkKernels(t, s, "warm solve")
+				}
+				// The factorization the next window starts from.
+				if err := s.refactor(); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				checkKernels(t, s, "next basis")
+			}
+			if warms == 0 {
+				t.Fatalf("seed %d: warm repair never engaged", seed)
+			}
+		}
+	})
 }

@@ -11,16 +11,13 @@
 // so FeasibleBasic (phase 1 alone) already yields a maximally sparse
 // candidate; Solve adds an optional phase-2 objective.
 //
-// Two implementations share one pivot policy (Bland's rule, guaranteeing
-// termination):
-//
-//   - the revised solver (Solver, the default): column-sparse A, an eta
-//     (product-form) basis file, and — for warm starts only — a dense LU
-//     factorization of the basis. Because the eta file replays exactly the
-//     arithmetic the dense tableau applies to each column, cold-start pivot
-//     sequences and results are bit-identical to the dense path.
-//   - the original dense tableau (dense.go), kept behind Options.Dense as
-//     the A/B reference.
+// The solver (Solver) is a revised simplex under Bland's rule, which
+// guarantees termination: column-sparse A, an eta (product-form) basis
+// file, and — for warm starts only — an LU factorization of the basis
+// whose solves walk the factors' nonzero patterns. Because the eta file
+// replays exactly the arithmetic a dense simplex tableau applies to each
+// column, cold-start pivot sequences and results are bit-identical to the
+// tableau, which the package's tests keep as their oracle.
 //
 // Consecutive tomography windows differ only in b, so a Solver additionally
 // offers WarmFeasibleBasic: a single-artificial primal repair from the
@@ -60,7 +57,7 @@ func Solve(a *linalg.Matrix, b, c []float64) (*Result, error) {
 	if len(b) != a.Rows || (c != nil && len(c) != a.Cols) {
 		panic("simplex: dimension mismatch")
 	}
-	res, err := NewSolver(a, Options{}).Solve(b, c)
+	res, err := NewSolver(a).Solve(b, c)
 	if err != nil {
 		return nil, err
 	}

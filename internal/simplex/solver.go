@@ -7,25 +7,12 @@ import (
 	"dctraffic/internal/linalg"
 )
 
-// Options configures a Solver.
-type Options struct {
-	// Dense routes every solve through the original dense-tableau
-	// implementation (dense.go), kept in-tree for A/B comparison.
-	Dense bool
-	// RefactorEvery bounds the eta-file length during warm-start repair:
-	// once that many etas have accumulated on top of the LU factors the
-	// basis is refactorized from scratch. <= 0 means the default (64).
-	// Cold solves never refactorize — their eta file replays the dense
-	// tableau's per-column arithmetic exactly, which is what makes cold
-	// results bit-identical to the dense path.
-	RefactorEvery int
-	// MaxWarmPivots caps the repair loop of a warm start; past it the
-	// solver falls back to a cold solve. Real tomography windows repair
-	// in roughly 2m-5m pivots, so the cap is stall insurance: well above
-	// that, still far below the ~40m pivots of the cold solve a fallback
-	// would re-run. <= 0 means the default (16m+16).
-	MaxWarmPivots int
-}
+// refactorEvery bounds the eta-file length during warm-start repair: once
+// that many etas have accumulated on top of the LU factors the basis is
+// refactorized from scratch. Cold solves never refactorize — their eta
+// file replays the dense tableau's per-column arithmetic exactly, which is
+// what makes cold results bit-identical to the tableau.
+const refactorEvery = 64
 
 // SolveStats describes the effort of the most recent solve on a Solver.
 type SolveStats struct {
@@ -59,10 +46,8 @@ type SolveStats struct {
 // 1e-6·(1+max|b|), non-zeros <= rank — with a cold-solve fallback whenever
 // verification (or the repair itself) fails.
 type Solver struct {
-	csc   *linalg.CSC
-	dense *linalg.Matrix // lazily materialized; Options.Dense path only
-	opts  Options
-	m, n  int // constraints, real variables (artificials are n..n+m-1)
+	csc  *linalg.CSC
+	m, n int // constraints, real variables (artificials are n..n+m-1)
 
 	sign  []float64 // per-row ±1 applied to A and b (dense negates b<0 rows)
 	bbar  []float64 // sign·b for the current solve
@@ -87,9 +72,15 @@ type Solver struct {
 
 	// Dense LU of the basis (warm path only): PB = LU with the unit-lower
 	// multipliers stored below the diagonal of lu and the row swap done at
-	// elimination step k recorded in luPerm[k].
+	// elimination step k recorded in luPerm[k]. The solves read only the
+	// diagonal of lu; its off-diagonal nonzeros are listed in the order
+	// the solves walk them: L by column (rows r > k ascending), U by row
+	// (columns j > k ascending) and U by column (rows j < k ascending).
 	lu      []float64
 	luPerm  []int
+	lCol    factorPattern
+	uRow    factorPattern
+	uCol    factorPattern
 	luValid bool
 
 	hasBasis bool
@@ -99,32 +90,60 @@ type Solver struct {
 	res   Result
 }
 
-// NewSolver builds a Solver for the constraint matrix a, which must not be
-// modified while the Solver lives.
-func NewSolver(a *linalg.Matrix, opts Options) *Solver {
-	s := newSolver(linalg.NewCSC(a), opts)
-	s.dense = a
-	return s
+// factorPattern lists the off-diagonal nonzeros of one triangular factor
+// in groups (a row or a column each): group k holds the (index, value)
+// pairs idx[t], val[t] for t in [start[k], start[k+1]).
+type factorPattern struct {
+	start []int
+	idx   []int32
+	val   []float64
+}
+
+// newFactorPattern sizes a pattern for any triangular m×m factor, so
+// refactor never allocates.
+func newFactorPattern(m int) factorPattern {
+	return factorPattern{
+		start: make([]int, 1, m+1),
+		idx:   make([]int32, 0, m*(m-1)/2),
+		val:   make([]float64, 0, m*(m-1)/2),
+	}
+}
+
+// add appends entry (i, v) to the open group unless v is an exact zero.
+func (f *factorPattern) add(i int, v float64) {
+	if v != 0 {
+		f.idx = append(f.idx, int32(i))
+		f.val = append(f.val, v)
+	}
+}
+
+// closeGroup ends the open group.
+func (f *factorPattern) closeGroup() { f.start = append(f.start, len(f.idx)) }
+
+// group returns the indices and values of group k.
+func (f *factorPattern) group(k int) ([]int32, []float64) {
+	return f.idx[f.start[k]:f.start[k+1]], f.val[f.start[k]:f.start[k+1]]
+}
+
+func (f *factorPattern) reset() {
+	f.start = f.start[:1]
+	f.idx = f.idx[:0]
+	f.val = f.val[:0]
+}
+
+// NewSolver builds a Solver for the constraint matrix a.
+func NewSolver(a *linalg.Matrix) *Solver {
+	return NewSolverFromCSC(linalg.NewCSC(a))
 }
 
 // NewSolverFromCSC builds a Solver sharing an existing column index (the
 // tomography routing matrix is indexed once per tomo.Problem and shared by
-// every solver bound to it).
-func NewSolverFromCSC(csc *linalg.CSC, opts Options) *Solver {
-	return newSolver(csc, opts)
-}
-
-func newSolver(csc *linalg.CSC, opts Options) *Solver {
+// every solver bound to it), which must not be modified while the Solver
+// lives.
+func NewSolverFromCSC(csc *linalg.CSC) *Solver {
 	m, n := csc.Rows, csc.Cols
-	if opts.RefactorEvery <= 0 {
-		opts.RefactorEvery = 64
-	}
-	if opts.MaxWarmPivots <= 0 {
-		opts.MaxWarmPivots = 16*m + 16
-	}
 	return &Solver{
 		csc:      csc,
-		opts:     opts,
 		m:        m,
 		n:        n,
 		sign:     make([]float64, m),
@@ -137,9 +156,12 @@ func newSolver(csc *linalg.CSC, opts Options) *Solver {
 		v:        make([]float64, m),
 		ax:       make([]float64, m),
 		aq:       make([]float64, m),
-		etaStart: make([]int, 1, 65),
+		etaStart: make([]int, 1, refactorEvery+1),
 		lu:       make([]float64, m*m),
 		luPerm:   make([]int, m),
+		lCol:     newFactorPattern(m),
+		uRow:     newFactorPattern(m),
+		uCol:     newFactorPattern(m),
 		prevSign: make([]float64, m),
 		res:      Result{X: make([]float64, n)},
 	}
@@ -154,9 +176,6 @@ func (s *Solver) Stats() SolveStats { return s.stats }
 func (s *Solver) Solve(b, c []float64) (*Result, error) {
 	if len(b) != s.m || (c != nil && len(c) != s.n) {
 		panic("simplex: dimension mismatch")
-	}
-	if s.opts.Dense {
-		return s.solveViaDense(b, c)
 	}
 	s.stats = SolveStats{}
 	return s.finishCold(b, c)
@@ -176,9 +195,6 @@ func (s *Solver) WarmFeasibleBasic(b []float64) (*Result, error) {
 	if len(b) != s.m {
 		panic("simplex: dimension mismatch")
 	}
-	if s.opts.Dense {
-		return s.solveViaDense(b, nil)
-	}
 	s.stats = SolveStats{}
 	if s.hasBasis {
 		if res, ok := s.tryWarm(b); ok {
@@ -189,20 +205,6 @@ func (s *Solver) WarmFeasibleBasic(b []float64) (*Result, error) {
 		s.stats.FellBack = true
 	}
 	return s.finishCold(b, nil)
-}
-
-func (s *Solver) solveViaDense(b, c []float64) (*Result, error) {
-	if s.dense == nil {
-		s.dense = s.csc.Dense()
-	}
-	s.stats = SolveStats{}
-	s.hasBasis = false
-	res, err := solveDense(s.dense, b, c)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.Pivots = res.Iters
-	return res, nil
 }
 
 func (s *Solver) finishCold(b, c []float64) (*Result, error) {
@@ -257,20 +259,9 @@ func (s *Solver) solveCold(b, c []float64) (*Result, error) {
 		if s.basic[i] < s.n {
 			continue
 		}
-		for k := 0; k < s.m; k++ {
-			s.y[k] = 0
-		}
-		s.y[i] = 1
-		s.btran(s.y)
-		for k := 0; k < s.m; k++ {
-			s.ys[k] = s.y[k] * s.sign[k]
-		}
+		s.priceRow(i)
 		for j := 0; j < s.n; j++ {
-			dot := 0.0
-			for t := s.csc.ColPtr[j]; t < s.csc.ColPtr[j+1]; t++ {
-				dot += s.ys[s.csc.RowIdx[t]] * s.csc.Val[t]
-			}
-			if math.Abs(dot) <= eps/2 {
+			if math.Abs(s.priceDot(j)) <= eps/2 {
 				continue
 			}
 			s.ftranColumn(j)
@@ -344,10 +335,7 @@ func (s *Solver) iterate(c []float64, phase1 bool, maxIters int) error {
 			}
 			var d float64
 			if j < s.n {
-				sum := 0.0
-				for t := s.csc.ColPtr[j]; t < s.csc.ColPtr[j+1]; t++ {
-					sum += s.ys[s.csc.RowIdx[t]] * s.csc.Val[t]
-				}
+				sum := s.priceDot(j)
 				if phase1 {
 					d = -sum
 				} else {
@@ -565,27 +553,19 @@ func (s *Solver) repairPrimal(rstar int, tol float64) bool {
 		if zrow < 0 {
 			return true // the virtual left the basis: feasible
 		}
-		if pivots > s.opts.MaxWarmPivots {
+		// Stall insurance: real tomography windows repair in roughly
+		// 2m-5m pivots; this cap sits well above that and still far below
+		// the ~40m pivots of the cold solve a fallback re-runs.
+		if pivots > 16*s.m+16 {
 			return false
 		}
-		for i := range s.y {
-			s.y[i] = 0
-		}
-		s.y[zrow] = 1
-		s.btran(s.y)
-		for i := 0; i < s.m; i++ {
-			s.ys[i] = s.y[i] * s.sign[i]
-		}
+		s.priceRow(zrow)
 		col := -1
 		for j := 0; j < s.n; j++ {
 			if s.pos[j] >= 0 {
 				continue
 			}
-			sum := 0.0
-			for t := s.csc.ColPtr[j]; t < s.csc.ColPtr[j+1]; t++ {
-				sum += s.ys[s.csc.RowIdx[t]] * s.csc.Val[t]
-			}
-			if -sum < -eps {
+			if -s.priceDot(j) < -eps {
 				col = j
 				break
 			}
@@ -610,7 +590,7 @@ func (s *Solver) repairPrimal(rstar int, tol float64) bool {
 		if !s.clampOrBail(tol) {
 			return false
 		}
-		if len(s.etaRow) >= s.opts.RefactorEvery {
+		if len(s.etaRow) >= refactorEvery {
 			// Refactorization swaps only the representation used by ftran
 			// and btran; x_B stays incrementally updated (like the dense
 			// tableau's b column) — recomputing it as B⁻¹b̄ would undo the
@@ -623,11 +603,14 @@ func (s *Solver) repairPrimal(rstar int, tol float64) bool {
 }
 
 // driveOutVirtual swaps the (zero-valued) virtual column out of the basis
-// for any nonbasic real column with support on its row, so the basis kept
-// for the next window contains only real and phase-1 artificial columns.
+// for the first nonbasic real column with support on its row, so the basis
+// kept for the next window contains only real and phase-1 artificial
+// columns. Row zrow is priced in one btran and only columns above the
+// eps/2 guard band are ftran'd, the prefilter the cold drive-out uses.
 func (s *Solver) driveOutVirtual(zrow int) bool {
+	s.priceRow(zrow)
 	for j := 0; j < s.n; j++ {
-		if s.pos[j] >= 0 {
+		if s.pos[j] >= 0 || math.Abs(s.priceDot(j)) <= eps/2 {
 			continue
 		}
 		s.ftranColumn(j)
@@ -709,6 +692,28 @@ func (s *Solver) clearEtas() {
 	s.etaVal = s.etaVal[:0]
 }
 
+// priceRow loads row i of B⁻¹ into s.y by one btran and folds the row
+// signs into s.ys, so priceDot(j) is row i of the transformed column j.
+func (s *Solver) priceRow(i int) {
+	for k := range s.y {
+		s.y[k] = 0
+	}
+	s.y[i] = 1
+	s.btran(s.y)
+	for k := 0; k < s.m; k++ {
+		s.ys[k] = s.y[k] * s.sign[k]
+	}
+}
+
+// priceDot returns s.ys·A_j.
+func (s *Solver) priceDot(j int) float64 {
+	sum := 0.0
+	for t := s.csc.ColPtr[j]; t < s.csc.ColPtr[j+1]; t++ {
+		sum += s.ys[s.csc.RowIdx[t]] * s.csc.Val[t]
+	}
+	return sum
+}
+
 // pivotOn makes the variable col basic in row using the entering column
 // currently held in s.v (which must be the ftran'd column). The appended
 // eta records the dense tableau's row operations for this pivot — scale
@@ -740,11 +745,21 @@ func (s *Solver) pivotOn(row, col int) {
 	s.pos[col] = row
 }
 
-// ftranColumn loads extended column j (sign-folded real column, the
-// identity column of an artificial, or the stored virtual column) into
-// s.v and transforms it by the current basis inverse: LU solve first
-// (warm path), then the eta file in application order.
+// ftranColumn loads extended column j into s.v and transforms it by the
+// current basis inverse: LU solve first (warm path), then the eta file in
+// application order.
 func (s *Solver) ftranColumn(j int) {
+	s.loadColumn(j)
+	if s.luValid {
+		s.luFtran(s.v)
+	}
+	s.applyEtas(s.v)
+}
+
+// loadColumn writes extended column j — the sign-folded real column, the
+// identity column of an artificial, or the stored virtual column — into
+// s.v.
+func (s *Solver) loadColumn(j int) {
 	v := s.v
 	for i := range v {
 		v[i] = 0
@@ -760,17 +775,20 @@ func (s *Solver) ftranColumn(j int) {
 	default:
 		copy(v, s.aq)
 	}
-	if s.luValid {
-		s.luFtran(v)
-	}
-	s.applyEtas(v)
 }
 
+// applyEtas applies the eta file to w in order. An eta whose scaled pivot
+// entry is zero is skipped: each of its updates would subtract an exact
+// zero, which leaves every entry's bits alone except, at most, the sign
+// of a zero entry.
 func (s *Solver) applyEtas(w []float64) {
 	for e := 0; e < len(s.etaRow); e++ {
 		r := s.etaRow[e]
 		w[r] *= s.etaInv[e]
 		wr := w[r]
+		if wr == 0 {
+			continue
+		}
 		for t := s.etaStart[e]; t < s.etaStart[e+1]; t++ {
 			w[s.etaIdx[t]] -= s.etaVal[t] * wr
 		}
@@ -793,9 +811,10 @@ func (s *Solver) btran(w []float64) {
 	}
 }
 
-// refactor rebuilds the dense LU factors of the current basis and clears
-// the eta file. Warm path only: cold solves keep B₀ = I (the artificial
-// start) and express the whole basis inverse through etas.
+// refactor rebuilds the dense LU factors of the current basis, lists their
+// nonzero patterns, and clears the eta file. Warm path only: cold solves
+// keep B₀ = I (the artificial start) and express the whole basis inverse
+// through etas.
 func (s *Solver) refactor() error {
 	m := s.m
 	lu := s.lu
@@ -846,6 +865,23 @@ func (s *Solver) refactor() error {
 			}
 		}
 	}
+	s.lCol.reset()
+	s.uRow.reset()
+	s.uCol.reset()
+	for k := 0; k < m; k++ {
+		for r := k + 1; r < m; r++ {
+			s.lCol.add(r, lu[r*m+k])
+		}
+		s.lCol.closeGroup()
+		for j := k + 1; j < m; j++ {
+			s.uRow.add(j, lu[k*m+j])
+		}
+		s.uRow.closeGroup()
+		for j := 0; j < k; j++ {
+			s.uCol.add(j, lu[j*m+k])
+		}
+		s.uCol.closeGroup()
+	}
 	s.luValid = true
 	s.clearEtas()
 	s.stats.Refactorizations++
@@ -857,9 +893,14 @@ func (s *Solver) refactor() error {
 // U). The swaps must all land before the forward solve: refactor stores
 // multipliers getrf-style, i.e. swapped along with their rows by later
 // elimination steps, so they only line up with a fully-permuted RHS.
+//
+// Both solves walk the factor patterns in the order a dense loop over lu
+// would, and skip only its products with an exact zero factor entry. For
+// finite w, x − (±0) is x bit for bit unless x is itself zero, so the
+// result equals the dense loop's apart from, at most, the sign of a zero
+// entry, which no caller divides by or branches on.
 func (s *Solver) luFtran(w []float64) {
 	m := s.m
-	lu := s.lu
 	for col := 0; col < m; col++ {
 		if p := s.luPerm[col]; p != col {
 			w[col], w[p] = w[p], w[col]
@@ -870,35 +911,38 @@ func (s *Solver) luFtran(w []float64) {
 		if wc == 0 {
 			continue
 		}
-		for r := col + 1; r < m; r++ {
-			w[r] -= lu[r*m+col] * wc
+		idx, val := s.lCol.group(col)
+		for t, r := range idx {
+			w[r] -= val[t] * wc
 		}
 	}
 	for i := m - 1; i >= 0; i-- {
 		sum := w[i]
-		for j := i + 1; j < m; j++ {
-			sum -= lu[i*m+j] * w[j]
+		idx, val := s.uRow.group(i)
+		for t, j := range idx {
+			sum -= val[t] * w[j]
 		}
-		w[i] = sum / lu[i*m+i]
+		w[i] = sum / s.lu[i*m+i]
 	}
 }
 
 // luBtran solves Bᵀ·w' = w in place (Uᵀ forward, Lᵀ backward, then the
-// row swaps in reverse).
+// row swaps in reverse), skipping exact zeros like luFtran.
 func (s *Solver) luBtran(w []float64) {
 	m := s.m
-	lu := s.lu
 	for i := 0; i < m; i++ {
 		sum := w[i]
-		for j := 0; j < i; j++ {
-			sum -= lu[j*m+i] * w[j]
+		idx, val := s.uCol.group(i)
+		for t, j := range idx {
+			sum -= val[t] * w[j]
 		}
-		w[i] = sum / lu[i*m+i]
+		w[i] = sum / s.lu[i*m+i]
 	}
 	for i := m - 2; i >= 0; i-- {
 		sum := w[i]
-		for r := i + 1; r < m; r++ {
-			sum -= lu[r*m+i] * w[r]
+		idx, val := s.lCol.group(i)
+		for t, r := range idx {
+			sum -= val[t] * w[r]
 		}
 		w[i] = sum
 	}

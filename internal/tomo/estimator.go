@@ -51,7 +51,7 @@ func (p *Problem) NewEstimator(opts EstimatorOptions) *Estimator {
 	return &Estimator{
 		p:      p,
 		opts:   opts,
-		solver: simplex.NewSolverFromCSC(p.csc, simplex.Options{}),
+		solver: simplex.NewSolverFromCSC(p.csc),
 		wls:    linalg.NewWLSWorkspace(p.a),
 		g:      make([]float64, len(p.pairs)),
 		out:    make([]float64, p.racks),

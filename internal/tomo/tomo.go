@@ -240,7 +240,7 @@ func (p *Problem) TomogravityWithMultiplier(b, mult []float64) ([]float64, error
 // goroutine-safe; batch workloads should prefer an Estimator, which reuses
 // one solver (and can warm-start it) across windows.
 func (p *Problem) SparsityMax(b []float64) ([]float64, error) {
-	res, err := simplex.NewSolverFromCSC(p.csc, simplex.Options{}).FeasibleBasic(b)
+	res, err := simplex.NewSolverFromCSC(p.csc).FeasibleBasic(b)
 	if err != nil {
 		return nil, fmt.Errorf("tomo: sparsity maximization: %w", err)
 	}
