@@ -43,13 +43,16 @@ test: vet lint
 test-short:
 	$(GO) test -short ./...
 
-# The trace codec's fuzz targets, 10 s each (-fuzz takes one target per
-# run): the decoders against encoding/json as the oracle (same verdict,
-# same records), and the encoder against json.Marshal byte for byte.
+# The fuzz targets, 10 s each (-fuzz takes one target per run): the
+# trace codec's decoders against encoding/json as the oracle (same
+# verdict, same records) and its encoder against json.Marshal byte for
+# byte; and the stats radix sort against the sort.Slice comparator
+# sort it replaced, bit for bit.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONLGz$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSONL$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSortSamples$$' -fuzztime 10s ./internal/stats
 
 # End-to-end observability smoke test: a short SmallRun-shaped dcsim
 # with -progress and -metrics, then dcmetrics asserts the snapshot

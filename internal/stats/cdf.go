@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -31,10 +32,14 @@ func (c *CDF) Add(x float64) { c.AddWeighted(x, 1) }
 
 // AddWeighted appends a sample with the given non-negative weight. Weighted
 // CDFs express "fraction of bytes" style distributions (e.g. Figure 9's
-// bytes-weighted flow-duration CDF).
+// bytes-weighted flow-duration CDF). A negative or NaN weight, or a NaN
+// sample, panics: NaN has no place in the canonical order.
 func (c *CDF) AddWeighted(x, w float64) {
-	if w < 0 {
-		panic("stats: negative CDF weight")
+	if w < 0 || math.IsNaN(w) {
+		panic("stats: negative or NaN CDF weight")
+	}
+	if math.IsNaN(x) {
+		panic("stats: NaN CDF sample")
 	}
 	c.xs = append(c.xs, x)
 	c.ws = append(c.ws, w)
@@ -82,32 +87,21 @@ func (c *CDF) TotalWeight() float64 {
 }
 
 // ensureSorted puts the samples into canonical order — ascending x,
-// ties by ascending weight — and recomputes the total weight by summing
-// in that order. Queries are therefore pure functions of the weighted
-// sample multiset: two CDFs holding the same samples answer identically
-// no matter how the samples were sharded, chunked or merge-ordered on
-// the way in. (Insertion order only matters before the first query.)
+// ties by ascending weight (sortSamples) — and recomputes the total
+// weight by summing in that order. Queries are therefore pure functions
+// of the weighted sample multiset: two CDFs holding the same samples
+// answer identically no matter how the samples were sharded, chunked
+// or merge-ordered on the way in. (Insertion order only matters before
+// the first query.)
 func (c *CDF) ensureSorted() {
 	if c.sorted {
 		return
 	}
-	idx := make([]int, len(c.xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if c.xs[idx[a]] != c.xs[idx[b]] {
-			return c.xs[idx[a]] < c.xs[idx[b]]
-		}
-		return c.ws[idx[a]] < c.ws[idx[b]]
-	})
-	xs := make([]float64, len(c.xs))
-	ws := make([]float64, len(c.ws))
+	xs, ws := make([]float64, len(c.xs)), make([]float64, len(c.ws))
+	sortSamples(xs, ws, c.xs, c.ws)
 	totalW := 0.0
-	for i, j := range idx {
-		xs[i] = c.xs[j]
-		ws[i] = c.ws[j]
-		totalW += ws[i]
+	for _, w := range ws {
+		totalW += w
 	}
 	c.xs, c.ws = xs, ws
 	c.totalW = totalW

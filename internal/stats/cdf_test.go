@@ -83,6 +83,40 @@ func TestCDFNegativeWeightPanics(t *testing.T) {
 	(&CDF{}).AddWeighted(1, -1)
 }
 
+// NaN fails `w < 0`, so the guards test for it apart: a NaN weight or
+// a NaN sample panics like a negative weight, in CDF, QuantileSketch
+// and StreamCDF on both sides of its cap.
+func TestNaNSamplePanics(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		add  func()
+	}{
+		{"CDF weight", func() { (&CDF{}).AddWeighted(1, nan) }},
+		{"CDF sample", func() { (&CDF{}).Add(nan) }},
+		{"sketch weight", func() { NewQuantileSketch(0).Add(1, nan) }},
+		{"sketch sample", func() { NewQuantileSketch(0).Add(nan, 1) }},
+		{"sketch negative weight", func() { NewQuantileSketch(0).Add(1, -1) }},
+		{"StreamCDF exact", func() { NewStreamCDF(4).AddWeighted(1, nan) }},
+		{"StreamCDF sketched", func() {
+			sc := NewStreamCDF(4)
+			for i := 0; i < 8; i++ {
+				sc.Add(float64(i))
+			}
+			sc.Add(nan)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			tc.add()
+		})
+	}
+}
+
 // Property: P is monotone nondecreasing and bounded in [0,1].
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {

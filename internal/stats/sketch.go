@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // DefaultCDFSampleCap is the number of exact samples a StreamCDF holds
 // before switching to the bounded quantile sketch. At 16 bytes per
@@ -17,18 +20,6 @@ const defaultSketchBuffer = 4096
 
 type sketchSample struct {
 	x, w float64
-}
-
-// sortSamples orders samples canonically: ascending x, ties by
-// ascending weight. Equal (x, w) pairs are interchangeable bit-for-bit,
-// so the unstable sort still yields a deterministic sequence.
-func sortSamples(s []sketchSample) {
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].x != s[b].x {
-			return s[a].x < s[b].x
-		}
-		return s[a].w < s[b].w
-	})
 }
 
 // QuantileSketch is a deterministic bounded-memory summary of a weighted
@@ -52,6 +43,7 @@ type QuantileSketch struct {
 	buf    []sketchSample   // level-0 insertion buffer, unsorted
 	levels [][]sketchSample // levels[i] is a sorted run of ≤ b samples, or nil
 	flips  []bool           // per-level alternation state
+	tmp    []float64        // sortRuns scratch: four parallel columns
 	n      int64
 	errW   float64
 
@@ -73,10 +65,14 @@ func NewQuantileSketch(b int) *QuantileSketch {
 	return &QuantileSketch{b: b}
 }
 
-// Add inserts one weighted sample. Negative weights panic, mirroring CDF.
+// Add inserts one weighted sample. Negative or NaN weights and NaN
+// samples panic, mirroring CDF.
 func (s *QuantileSketch) Add(x, w float64) {
-	if w < 0 {
-		panic("stats: negative sketch weight")
+	if w < 0 || math.IsNaN(w) {
+		panic("stats: negative or NaN sketch weight")
+	}
+	if math.IsNaN(x) {
+		panic("stats: NaN sketch sample")
 	}
 	s.n++
 	s.mat = nil
@@ -88,10 +84,8 @@ func (s *QuantileSketch) Add(x, w float64) {
 
 // flush sorts the level-0 buffer and promotes it with carry.
 func (s *QuantileSketch) flush() {
-	carry := make([]sketchSample, len(s.buf))
-	copy(carry, s.buf)
+	carry := s.sortRuns(s.buf)
 	s.buf = s.buf[:0]
-	sortSamples(carry)
 	for l := 0; ; l++ {
 		if l >= len(s.levels) {
 			s.levels = append(s.levels, nil)
@@ -113,6 +107,34 @@ func (s *QuantileSketch) flush() {
 		carry = compactRun(merged, s.flips[l])
 		s.flips[l] = !s.flips[l]
 	}
+}
+
+// sortRuns returns the samples of runs, concatenated, in canonical
+// order (sortSamples) in a new slice. The sort's parallel x and w
+// columns live in the sketch's scratch, which grows to the largest sort
+// and is reused.
+func (s *QuantileSketch) sortRuns(runs ...[]sketchSample) []sketchSample {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	if len(s.tmp) < 4*n {
+		s.tmp = make([]float64, 4*n)
+	}
+	xs, ws, dx, dw := s.tmp[:n], s.tmp[n:2*n], s.tmp[2*n:3*n], s.tmp[3*n:4*n]
+	i := 0
+	for _, r := range runs {
+		for _, v := range r {
+			xs[i], ws[i] = v.x, v.w
+			i++
+		}
+	}
+	sortSamples(dx, dw, xs, ws)
+	out := make([]sketchSample, n)
+	for i := range out {
+		out[i] = sketchSample{dx[i], dw[i]}
+	}
+	return out
 }
 
 // mergeSorted merges two canonically sorted runs, preserving order.
@@ -161,16 +183,7 @@ func (s *QuantileSketch) materialize() {
 	if s.mat != nil {
 		return
 	}
-	total := len(s.buf)
-	for _, lv := range s.levels {
-		total += len(lv)
-	}
-	mat := make([]sketchSample, 0, total)
-	mat = append(mat, s.buf...)
-	for _, lv := range s.levels {
-		mat = append(mat, lv...)
-	}
-	sortSamples(mat)
+	mat := s.sortRuns(append([][]sketchSample{s.buf}, s.levels...)...)
 	cum := make([]float64, len(mat))
 	w := 0.0
 	for i, v := range mat {

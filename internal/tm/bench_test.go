@@ -60,3 +60,18 @@ func BenchmarkNormalizedChange(b *testing.B) {
 		_ = ChangeSeries(series, 1)
 	}
 }
+
+// BenchmarkChangeRingPush measures Figure 10's online churn: an hour of
+// 10 s server matrices pushed through a ring at lags 1 and 10.
+func BenchmarkChangeRingPush(b *testing.B) {
+	records := benchRecords(100_000)
+	series := ServerSeries(records, 84, 10*time.Second, time.Hour)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ring := NewChangeRing(1, 10)
+		for _, m := range series {
+			ring.Push(m)
+		}
+	}
+}

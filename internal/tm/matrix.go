@@ -63,9 +63,12 @@ func (m *Matrix) sortedKeys() []int64 {
 }
 
 // Total reports the sum of all entries.
-func (m *Matrix) Total() float64 {
+func (m *Matrix) Total() float64 { return m.sum(m.sortedKeys()) }
+
+// sum adds the entries at keys, in the order given.
+func (m *Matrix) sum(keys []int64) float64 {
 	t := 0.0
-	for _, k := range m.sortedKeys() {
+	for _, k := range keys {
 		t += m.entries[k]
 	}
 	return t
@@ -143,18 +146,25 @@ func FromDense(n int, data []float64) *Matrix {
 // traffic of the earlier matrix. It returns 0 when the earlier matrix is
 // empty.
 func NormalizedChange(earlier, later *Matrix) float64 {
+	ek := earlier.sortedKeys()
+	return normalizedChange(earlier, later, ek, later.sortedKeys(), earlier.sum(ek))
+}
+
+// normalizedChange is NormalizedChange over keys already sorted: ek and
+// lk are earlier's and later's sortedKeys, and denom is earlier's Total.
+// ChangeRing calls it with keys sorted once per matrix.
+func normalizedChange(earlier, later *Matrix, ek, lk []int64, denom float64) float64 {
 	if earlier.n != later.n {
 		panic("tm: NormalizedChange size mismatch")
 	}
-	denom := earlier.Total()
 	if denom == 0 {
 		return 0
 	}
 	num := 0.0
-	for _, k := range earlier.sortedKeys() {
+	for _, k := range ek {
 		num += math.Abs(later.entries[k] - earlier.entries[k])
 	}
-	for _, k := range later.sortedKeys() {
+	for _, k := range lk {
 		if _, ok := earlier.entries[k]; !ok {
 			num += later.entries[k]
 		}

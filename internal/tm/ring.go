@@ -7,13 +7,23 @@ package tm
 // while retaining only the last max(lag) matrices in a ring instead of
 // the whole series. This is what lets a week-long streaming analysis
 // track TM churn without holding a week of matrices.
+//
+// Push sorts each matrix's keys once and keeps them beside it in the
+// ring, and each change takes its denominator from the earlier bin's
+// magnitude, so a pushed matrix must not change afterwards.
 type ChangeRing struct {
 	lags    []int
 	keep    int
-	ring    []*Matrix
+	ring    []ringSlot
 	n       int
 	mags    []float64
 	changes [][]float64 // parallel to lags
+}
+
+// ringSlot is one retained bin: its matrix and the matrix's sortedKeys.
+type ringSlot struct {
+	m    *Matrix
+	keys []int64
 }
 
 // NewChangeRing tracks churn at the given positive lags (in bins).
@@ -30,7 +40,7 @@ func NewChangeRing(lags ...int) *ChangeRing {
 	return &ChangeRing{
 		lags:    append([]int(nil), lags...),
 		keep:    keep,
-		ring:    make([]*Matrix, max(keep, 1)),
+		ring:    make([]ringSlot, max(keep, 1)),
 		changes: make([][]float64, len(lags)),
 	}
 }
@@ -40,14 +50,16 @@ func NewChangeRing(lags ...int) *ChangeRing {
 // value at the same series index ChangeSeries computes offline.
 func (c *ChangeRing) Push(m *Matrix) {
 	j := c.n
-	c.mags = append(c.mags, m.Total())
+	keys := m.sortedKeys()
+	c.mags = append(c.mags, m.sum(keys))
 	for li, lag := range c.lags {
 		if j >= lag {
-			c.changes[li] = append(c.changes[li], NormalizedChange(c.ring[(j-lag)%c.keep], m))
+			e := c.ring[(j-lag)%c.keep]
+			c.changes[li] = append(c.changes[li], normalizedChange(e.m, m, e.keys, keys, c.mags[j-lag]))
 		}
 	}
 	if c.keep > 0 {
-		c.ring[j%c.keep] = m
+		c.ring[j%c.keep] = ringSlot{m, keys}
 	}
 	c.n++
 }

@@ -2,6 +2,7 @@ package tm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dctraffic/internal/stats"
@@ -72,5 +73,90 @@ func TestChangeRingShortSeries(t *testing.T) {
 	}
 	if want := ChangeSeries(series, 10); want != nil {
 		t.Fatalf("offline reference disagrees: %v", want)
+	}
+}
+
+// normalizedChangeRef is NormalizedChange as it stood before ChangeRing
+// shared its loops, with its own key sort and total: an oracle that
+// shares no code with the ring.
+func normalizedChangeRef(earlier, later *Matrix) float64 {
+	denom := totalRef(earlier)
+	if denom == 0 {
+		return 0
+	}
+	num := 0.0
+	for _, k := range sortedKeysRef(earlier) {
+		num += math.Abs(later.entries[k] - earlier.entries[k])
+	}
+	for _, k := range sortedKeysRef(later) {
+		if _, ok := earlier.entries[k]; !ok {
+			num += later.entries[k]
+		}
+	}
+	return num / denom
+}
+
+func sortedKeysRef(m *Matrix) []int64 {
+	keys := make([]int64, 0, len(m.entries))
+	for k := range m.entries {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func totalRef(m *Matrix) float64 {
+	t := 0.0
+	for _, k := range sortedKeysRef(m) {
+		t += m.entries[k]
+	}
+	return t
+}
+
+// The ring against the reference, bit for bit, at lags 1 and 10 over
+// random series whose bins vary in fill and include empty matrices: an
+// empty earlier bin (denominator 0) and an empty later one.
+func TestChangeRingMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := stats.NewRNG(seed).Fork("ring_ref")
+		series := make([]*Matrix, 60)
+		for b := range series {
+			m := NewMatrix(24)
+			if b%13 != 3 { // bins 3, 16, 29, 42, 55 stay empty
+				for e := rng.IntN(80); e > 0; e-- {
+					m.Add(rng.IntN(24), rng.IntN(24), rng.ExpFloat64()*1e6)
+				}
+			}
+			series[b] = m
+		}
+		lags := []int{1, 10}
+		ring := NewChangeRing(lags...)
+		for _, m := range series {
+			ring.Push(m)
+		}
+		for i, m := range series {
+			if got, want := ring.Magnitude()[i], totalRef(m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d: magnitude[%d]: %g != %g", seed, i, got, want)
+			}
+		}
+		for li, lag := range lags {
+			got := ring.Changes(li)
+			if len(got) != len(series)-lag {
+				t.Fatalf("seed %d lag %d: %d changes, want %d", seed, lag, len(got), len(series)-lag)
+			}
+			zeroDenom := 0
+			for i := range got {
+				if totalRef(series[i]) == 0 {
+					zeroDenom++
+				}
+				want := normalizedChangeRef(series[i], series[i+lag])
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("seed %d lag %d: change[%d]: %g != %g", seed, lag, i, got[i], want)
+				}
+			}
+			if zeroDenom == 0 {
+				t.Fatalf("seed %d lag %d: no empty earlier bin exercised", seed, lag)
+			}
+		}
 	}
 }
