@@ -29,11 +29,12 @@ lint:
 # The default verify path: vet, the determinism linter, the full suite,
 # the race detector over the two packages that deliver observer
 # callbacks (the netsim leg runs the golden-digest simulate workloads)
-# and over internal/trace (the live seam and the compression meter),
-# the analyze race leg (the fused seam between the simulator and the
-# analysis goroutine, and the compression meter, on the streaming and
-# fused paths), and the fleet race leg (concurrent pipelines sharing
-# the admission gate and the topology cache).
+# and over internal/trace (the compression meter), the analyze race leg
+# (the compression meter running beside the sweep, on the streaming and
+# fused paths; a fused run steps its simulator on the analysis
+# goroutine, so the meter is the only goroutine a run starts), and the
+# fleet race leg (concurrent pipelines sharing the admission gate and
+# the topology cache).
 test: vet lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/netsim ./internal/sched ./internal/trace
@@ -72,15 +73,14 @@ smoke-stream:
 	GOMEMLIMIT=64MiB $(GO) run ./cmd/dcanalyze -trace smoke-stream.jsonl \
 		-racks 8 -servers 10 -duration 30m -max-heap-mb 64 > /dev/null
 
-# Fused-pipeline smoke test: simulate and analyze overlapped through
+# Fused-pipeline smoke test: simulate and analyze interleaved through
 # the watermarked live source under a GOMEMLIMIT soft target, then
-# dcmetrics asserts the run snapshot carries the seam's series
-# (trace.live.* gauges, pipeline.* backpressure counter) alongside the
-# usual subsystems.
+# dcmetrics asserts the run snapshot carries the seam's trace.live.*
+# series alongside the usual subsystems.
 smoke-fused:
 	GOMEMLIMIT=128MiB $(GO) run ./cmd/dcanalyze -fused -racks 8 -servers 10 \
 		-duration 30m -metrics smoke-fused.json > /dev/null
-	$(GO) run ./cmd/dcmetrics -require netsim.,trace.,trace.live.,pipeline. smoke-fused.json
+	$(GO) run ./cmd/dcmetrics -require netsim.,trace.,trace.live. smoke-fused.json
 
 # Fleet-executor smoke test: a 3-seed 30 m sweep run concurrently under
 # a global GOMEMLIMIT (the admission gate derives its budget from it),

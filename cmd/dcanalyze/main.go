@@ -14,13 +14,14 @@
 //
 //	dcanalyze -trace trace.jsonl -racks 8 -servers 10 -duration 2h
 //
-// With -fused the simulation and the analysis run as one overlapped
-// pipeline: completed flows stream from the simulator straight into
-// the analysis sweep through a watermarked reorder buffer, producing
-// the full figure set bit-identically to the two-phase default while
-// the two dominant phases share the wall clock. -metrics writes the
-// run's final observability snapshot (including the fused seam's
-// trace.live.* and pipeline.* series) as JSON:
+// With -fused the simulation and the analysis run as one interleaved
+// pipeline: the analysis sweep pulls completed flows through a
+// watermarked reorder buffer and steps the simulator whenever it needs
+// more, producing the full figure set bit-identically to the two-phase
+// default without materializing and sorting the record log first, while
+// the §2 compression meter runs alongside. -metrics writes the run's
+// final observability snapshot (including the fused seam's trace.live.*
+// series) as JSON:
 //
 //	dcanalyze -fused -racks 8 -servers 10 -duration 2h -metrics run.json
 //
@@ -52,7 +53,7 @@ func main() {
 	duration := flag.Duration("duration", 2*time.Hour, "instrumented window")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	traceFile := flag.String("trace", "", "stream this dcsim trace through the analysis instead of simulating")
-	fused := flag.Bool("fused", false, "overlap simulation and analysis in one fused pipeline (identical figures, shared wall clock)")
+	fused := flag.Bool("fused", false, "interleave simulation and analysis in one fused pipeline (identical figures, no sorted copy of the record log)")
 	metricsOut := flag.String("metrics", "", "write the run's final metrics snapshot as JSON to this file (simulating modes only)")
 	heat := flag.Bool("heat", false, "print the Figure 2 ASCII heat map")
 	tsvDir := flag.String("tsv", "", "also write every figure's data series as TSV files into this directory")
@@ -205,13 +206,14 @@ func simulateAndAnalyze(paper bool, racks, servers int, duration time.Duration, 
 	return rep, err
 }
 
-// runFused overlaps the two dominant phases: the simulator's completed
-// flows stream through the watermarked live source straight into the
-// analysis sweep, so record-derived figures compute while the cluster
-// still runs and the trace is never sorted into a second copy. With
-// -progress both phases report interleaved on stderr (the "sim" line
-// from the run loop, the "analyze" line from the sweep). Figures are
-// bit-identical to the two-phase default.
+// runFused interleaves the two dominant phases on one goroutine: the
+// analysis sweep pulls the simulator's completed flows through the
+// watermarked live source and steps the run whenever it needs more, so
+// record-derived figures compute while the cluster still runs and the
+// trace is never sorted into a second copy. With -progress both phases
+// report interleaved on stderr (the "sim" line from the run loop, the
+// "analyze" line from the sweep). Figures are bit-identical to the
+// two-phase default.
 func runFused(paper bool, racks, servers int, duration time.Duration, seed uint64, progress bool, metricsPath string, aopts []dctraffic.AnalyzeOption) (*dctraffic.Report, error) {
 	cfg := runConfigFor(paper, racks, servers, duration, seed)
 	runOpts, closeMetrics, err := simRunOptions(progress, metricsPath)

@@ -34,7 +34,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	jobsPerHour := flag.Float64("jobs", 0, "job arrivals per hour (0 = scale with cluster)")
 	out := flag.String("out", "trace.jsonl", "output flow-record file (- for stdout)")
-	full := flag.Bool("full-recompute", false, "disable the incremental allocator (A/B timing; results are identical)")
 	progress := flag.Bool("progress", false, "print a status line per simulated 10 minutes")
 	metrics := flag.String("metrics", "", "write the final metrics snapshot (JSON) to this file")
 	noMetrics := flag.Bool("no-metrics", false, "disable metrics collection entirely (A/B determinism; results are identical)")
@@ -54,7 +53,6 @@ func main() {
 		cfg.Sched.JobsPerHour = 150 * float64(*racks**servers) / 80
 	}
 	cfg.Sched.Seed = *seed
-	cfg.FullRecompute = *full
 
 	if *pprofAddr != "" {
 		go func() {

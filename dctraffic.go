@@ -28,10 +28,11 @@
 // WithCDFSampleCap and friends tuning the figures. Each analysis runs
 // on the goroutine that calls it.
 //
-// RunAnalyze fuses the two phases: the simulator feeds the analyzer
-// live through a watermarked reorder buffer, so record-derived figure
-// work overlaps the simulation and the trace is never re-sorted into a
-// second copy — same report, bit for bit:
+// RunAnalyze fuses the two phases on the caller's goroutine: the
+// analysis pulls records through a watermarked reorder buffer and steps
+// the simulation whenever it needs more, so record-derived figure work
+// interleaves with the simulation and the trace is never re-sorted into
+// a second copy — same report, bit for bit:
 //
 //	rr, report, err := dctraffic.RunAnalyze(ctx, dctraffic.SmallRun())
 //	if err != nil { ... }
@@ -176,13 +177,14 @@ func AnalyzeSource(ctx context.Context, src TraceSource, opts ...AnalyzeOption) 
 }
 
 // RunAnalyze runs the simulation and the analysis as one fused
-// pipeline: the simulator's completed flows stream through a
-// watermarked reorder buffer straight into the analysis sweep, so the
-// record-derived figures compute while the cluster still runs. The
-// simulation runs on its own goroutine and the analysis on the
-// caller's; the report is bit-identical to Run followed by AnalyzeRun
-// at any GOMAXPROCS. Cancellation of ctx, a simulation error, or an
-// analysis error unwinds both phases before RunAnalyze returns.
+// pipeline on the caller's goroutine: the simulator's completed flows
+// stream through a watermarked reorder buffer straight into the
+// analysis sweep, which steps the simulation one batch whenever it
+// needs more records, so the record-derived figures compute while the
+// cluster still runs. The report is bit-identical to Run followed by
+// AnalyzeRun at any GOMAXPROCS. Cancellation of ctx or a simulation
+// error is returned as the simulator reports it; an analysis error
+// stops the run where it stands.
 func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*RunResult, *Report, error) {
 	return core.RunAnalyze(ctx, cfg, opts...)
 }
@@ -190,12 +192,6 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*Run
 // WithRunOptions forwards run options (WithProgress, WithObserver,
 // WithMetricsSink, ...) to the simulation phase of RunAnalyze.
 func WithRunOptions(opts ...RunOption) AnalyzeOption { return core.WithRunOptions(opts...) }
-
-// WithLiveBuffer bounds RunAnalyze's released-record FIFO (records the
-// watermark has freed but the analyzer has not yet consumed); the
-// simulator blocks once the FIFO fills. 0 means the default. The bound
-// never changes results, only the backpressure point.
-func WithLiveBuffer(n int) AnalyzeOption { return core.WithLiveBuffer(n) }
 
 // OpenTraceFile opens a JSONL (optionally gzip-compressed) flow trace as
 // a TraceSource for AnalyzeSource, sorting out-of-order records through

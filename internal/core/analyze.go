@@ -40,7 +40,6 @@ type analyzeConfig struct {
 	// (episodes, tomography, Figure 8) are deferred until the source
 	// drains, because they read simulator state that is only final then.
 	live    *trace.LiveSource
-	liveCap int
 	runOpts []RunOption
 }
 
@@ -657,11 +656,11 @@ func (a *streamAnalysis) dispatch(w *figWindow) {
 }
 
 // finishRun executes the run-derived work a fused sweep deferred. It
-// runs after the source hit EOF — the producing simulation has
-// returned, so the link stats, job event log and collector are final
-// and reading them cannot race. Episode detection, the parked chunk
-// joins and the tomography chain all happen in the same order the
-// two-phase path uses, so results are bit-identical.
+// runs after the source hit EOF — the simulation's last step has run,
+// so the link stats, job event log and collector are final. Episode
+// detection, the parked chunk joins and the tomography chain all happen
+// in the same order the two-phase path uses, so results are
+// bit-identical.
 func (a *streamAnalysis) finishRun(ctx context.Context) error {
 	cfg := a.cfg
 	rr := cfg.run

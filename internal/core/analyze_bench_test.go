@@ -47,7 +47,7 @@ func BenchmarkAnalyzeSmall(b *testing.B) {
 
 // benchFusedConfig is the end-to-end configuration the fused/two-phase
 // pair times: unlike the other analyze benchmarks, these two simulate
-// per iteration, because the phase overlap is the thing measured.
+// per iteration, because fusing the phases is the thing measured.
 func benchFusedConfig() RunConfig {
 	cfg := SmallRun()
 	cfg.Duration = 30 * time.Minute
@@ -74,10 +74,11 @@ func BenchmarkRunAnalyzeTwoPhase(b *testing.B) {
 }
 
 // BenchmarkRunAnalyzeFused times the fused pipeline end to end: the
-// simulator feeds the analyzer through the live watermarked source, so
-// record-derived analysis overlaps simulation and the canonical-order
-// materialize/sort step disappears. Report digests are bit-identical to
-// the two-phase baseline (TestRunAnalyzeMatchesTwoPhase).
+// analysis pulls records through the live watermarked source and steps
+// the simulator as it needs them, so record-derived analysis interleaves
+// with simulation and the canonical-order materialize/sort step
+// disappears. Report digests are bit-identical to the two-phase
+// baseline (TestRunAnalyzeMatchesTwoPhase).
 func BenchmarkRunAnalyzeFused(b *testing.B) {
 	cfg := benchFusedConfig()
 	b.ReportAllocs()

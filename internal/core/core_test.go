@@ -70,30 +70,6 @@ func TestSameSeedIdenticalDigest(t *testing.T) {
 	}
 }
 
-// End-to-end A/B of the dirty-component allocator against a full
-// re-solve on every step: identical digests on a shortened run.
-func TestIncrementalAllocatorMatchesFullDigest(t *testing.T) {
-	digest := func(full bool) []byte {
-		cfg := SmallRun()
-		cfg.Duration = 20 * time.Minute
-		cfg.DrainTime = 10 * time.Minute
-		cfg.FullRecompute = full
-		rr, err := Simulate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := mustAnalyze(t, rr).JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	inc, full := digest(false), digest(true)
-	if string(inc) != string(full) {
-		t.Fatalf("incremental vs full recompute digests differ:\n%s\nvs\n%s", inc, full)
-	}
-}
-
 func TestSimulateProducesTraffic(t *testing.T) {
 	rr, _ := smallRun(t)
 	if rr.Net.FlowsCompleted() < 100 {

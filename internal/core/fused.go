@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"dctraffic/internal/trace"
 )
@@ -15,42 +14,30 @@ func WithRunOptions(opts ...RunOption) AnalyzeOption {
 	return func(c *analyzeConfig) { c.runOpts = append(c.runOpts, opts...) }
 }
 
-// WithLiveBuffer bounds RunAnalyze's released-record FIFO: once the
-// analyzer lags the simulator by n canonical-order records, the
-// simulator blocks (backpressure) until the analyzer catches up. <= 0
-// selects the default (1<<15 records). Results are identical at any
-// bound; the knob trades decoupling slack for memory.
-func WithLiveBuffer(n int) AnalyzeOption {
-	return func(c *analyzeConfig) { c.liveCap = n }
-}
-
 // withLiveSource marks the analysis as the consumer half of a fused
 // pipeline (internal; set by RunAnalyze).
 func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
 	return func(c *analyzeConfig) { c.live = ls }
 }
 
-// RunAnalyze fuses the simulate and analyze phases: it builds the
-// cluster, runs the event loop on its own goroutine, and streams the
-// completed-flow records through a trace.LiveSource into AnalyzeSource
-// on the calling goroutine — the record-derived figures (2, 3/4, 9, 10,
-// 11, the incast record pass) compute while the simulation is still
+// RunAnalyze fuses the simulate and analyze phases on the calling
+// goroutine: it builds the cluster and streams the completed-flow
+// records through a trace.LiveSource into AnalyzeSource. The analysis
+// pulls: whenever no record is releasable, the source runs one more
+// event-loop batch, so the record-derived figures (2, 3/4, 9, 10, 11,
+// the incast record pass) compute while the simulation is still
 // producing, and only the run-derived work (congestion episodes,
 // Figures 5–8, attribution, tomography, the overhead model) waits for
-// the drain. The §2 compression ratio is measured as records complete.
-// End-to-end wall clock approaches max(simulate, analyze) instead of
-// their sum, and the report is bit-identical to Run followed by
-// AnalyzeRun at any GOMAXPROCS and live-buffer bound (enforced by
-// TestRunAnalyzeMatchesTwoPhase). The analysis runs on the calling
-// goroutine; the simulator gets its own, and the collector's
-// compression meter another.
+// the end of the run. The §2 compression ratio is measured as records
+// complete, on the collector's meter goroutine. The report is
+// bit-identical to Run followed by AnalyzeRun at any GOMAXPROCS
+// (enforced by TestRunAnalyzeMatchesTwoPhase).
 //
 // Options: analysis options apply as in AnalyzeSource; WithRunOptions
-// forwards simulator options; WithLiveBuffer bounds the seam's FIFO.
-// Cancellation and errors propagate across the seam in both directions:
-// a simulator failure surfaces from the analyzer ahead of any buffered
-// records, an analyzer failure cancels the simulator, and RunAnalyze
-// joins the simulator goroutine before returning either way.
+// forwards simulator options. A simulator error (cancellation at a
+// batch boundary, a failed metrics sink) is what RunAnalyze returns; an
+// analysis error stops the run where it stands. Either way the meter
+// is joined before RunAnalyze returns.
 func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*RunResult, *Report, error) {
 	// Pre-scan the options for the run-side knobs (the scan writes the
 	// analyze knobs into a throwaway config; AnalyzeSource re-applies
@@ -60,11 +47,16 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*Run
 		o(&probe)
 	}
 
-	live := trace.NewLiveSource(probe.liveCap)
 	p, err := prepareRun(cfg, probe.runOpts...)
 	if err != nil {
 		return nil, nil, err
 	}
+	var simErr error
+	live := trace.NewLiveSource(func() (bool, error) {
+		done, err := p.step(ctx)
+		simErr = err
+		return done, err
+	})
 	p.recordSink = live
 	p.rr.Collector.SetSink(live.Emit)
 	live.Instrument(p.o.reg)
@@ -72,45 +64,15 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*Run
 	// completes them; the analysis joins it when it merges the figures.
 	p.rr.Collector.StartCompressionMeter()
 
-	// Backstop: whatever path exits this function, no producer can stay
-	// blocked in Advance afterwards. No-op when the stream completed.
-	defer live.Close(nil)
-
-	simCtx, cancelSim := context.WithCancel(ctx)
-	defer cancelSim()
-	simDone := make(chan error, 1)
-	go func() {
-		_, err := p.execute(simCtx)
-		// CloseSend publishes the outcome to the consumer: a clean EOF
-		// after the remaining records, or the error ahead of them.
-		live.CloseSend(err)
-		simDone <- err
-	}()
-
 	analyzeOpts := append([]AnalyzeOption{WithRun(p.rr)}, opts...)
 	analyzeOpts = append(analyzeOpts, withLiveSource(live))
-	rep, aerr := AnalyzeSource(ctx, live, analyzeOpts...)
-	if aerr != nil {
-		// Unblock and stop the producer, then join it.
-		live.Close(aerr)
-		cancelSim()
-	}
-	serr := <-simDone
-	if aerr != nil || serr != nil {
-		// The simulator has exited, so nothing feeds the meter any more.
+	rep, err := AnalyzeSource(ctx, live, analyzeOpts...)
+	if err != nil {
 		p.rr.Collector.StopCompressionMeter()
+		if simErr != nil {
+			return nil, nil, simErr
+		}
+		return nil, nil, err
 	}
-
-	switch {
-	case aerr == nil && serr == nil:
-		return p.rr, rep, nil
-	case aerr != nil && serr != nil && errors.Is(serr, context.Canceled) && ctx.Err() == nil:
-		// The simulator stopped only because the analyzer failed first
-		// and we canceled it: the analyzer's error is the cause.
-		return nil, nil, aerr
-	case serr != nil:
-		return nil, nil, serr
-	default:
-		return nil, nil, aerr
-	}
+	return p.rr, rep, nil
 }

@@ -23,9 +23,7 @@ func fusedTestConfig(seed uint64) RunConfig {
 
 // TestRunAnalyzeMatchesTwoPhase is the acceptance gate of the fused
 // pipeline: RunAnalyze's report must be bit-identical to the two-phase
-// simulate → materialize → analyze path, across seeds and GOMAXPROCS —
-// including legs with a tiny live buffer that forces backpressure
-// stalls.
+// simulate → materialize → analyze path, across seeds and GOMAXPROCS.
 func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a matrix of full simulations")
@@ -39,31 +37,21 @@ func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 		want := reportDigest(t, mustAnalyze(t, rr))
 
 		prev := runtime.GOMAXPROCS(0)
-		type leg struct {
-			gmp     int
-			liveCap int // 0 = default live buffer
-		}
-		// A 256-record FIFO guarantees the simulator blocks on the
-		// analyzer repeatedly; results must not change.
-		matrix := []leg{{1, 256}, {1, 0}, {runtime.NumCPU(), 256}, {runtime.NumCPU(), 0}}
+		procs := []int{1, runtime.NumCPU()}
 		if seed != 1 {
-			matrix = []leg{{runtime.NumCPU(), 0}} // cross-seed spot check
+			procs = []int{runtime.NumCPU()} // cross-seed spot check
 		}
-		for _, m := range matrix {
-			runtime.GOMAXPROCS(m.gmp)
-			var opts []AnalyzeOption
-			if m.liveCap > 0 {
-				opts = append(opts, WithLiveBuffer(m.liveCap))
-			}
-			_, rep, err := RunAnalyze(context.Background(), cfg, opts...)
+		for _, gmp := range procs {
+			runtime.GOMAXPROCS(gmp)
+			_, rep, err := RunAnalyze(context.Background(), cfg)
 			if err != nil {
 				runtime.GOMAXPROCS(prev)
-				t.Fatalf("seed %d GOMAXPROCS=%d live buffer %d: %v", seed, m.gmp, m.liveCap, err)
+				t.Fatalf("seed %d GOMAXPROCS=%d: %v", seed, gmp, err)
 			}
 			if got := reportDigest(t, rep); got != want {
 				runtime.GOMAXPROCS(prev)
-				t.Fatalf("seed %d GOMAXPROCS=%d live buffer %d: fused digest %s != two-phase %s",
-					seed, m.gmp, m.liveCap, got, want)
+				t.Fatalf("seed %d GOMAXPROCS=%d: fused digest %s != two-phase %s",
+					seed, gmp, got, want)
 			}
 		}
 		runtime.GOMAXPROCS(prev)
@@ -94,16 +82,15 @@ func TestRunAnalyzeReassemblyMatches(t *testing.T) {
 }
 
 // TestRunAnalyzeObservability checks the seam's metrics: the run
-// registry must carry the trace.live.* gauges and the backpressure
-// counter, with values consistent with a stream that actually flowed.
+// registry must carry the trace.live.* series, with values consistent
+// with a stream that actually flowed.
 func TestRunAnalyzeObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
 	cfg := fusedTestConfig(1)
 	reg := obs.NewRegistry()
-	rr, _, err := RunAnalyze(context.Background(), cfg,
-		WithRunOptions(WithObserver(reg)), WithLiveBuffer(64))
+	rr, _, err := RunAnalyze(context.Background(), cfg, WithRunOptions(WithObserver(reg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +98,7 @@ func TestRunAnalyzeObservability(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no metrics snapshot")
 	}
-	if err := snap.Require("trace.live.", "pipeline."); err != nil {
+	if err := snap.Require("trace.live."); err != nil {
 		t.Fatal(err)
 	}
 	released := snap.Value("trace.live.released_total")
@@ -121,15 +108,35 @@ func TestRunAnalyzeObservability(t *testing.T) {
 	if peak := snap.Value("trace.live.buffered_peak"); peak <= 0 {
 		t.Fatalf("buffered_peak %v, want > 0", peak)
 	}
-	if waits := snap.Value("pipeline.backpressure_waits"); waits <= 0 {
-		t.Fatalf("backpressure_waits %v, want > 0 with a 64-record FIFO", waits)
+}
+
+// TestRunAnalyzeOneGoroutine pins the pull seam: the analysis steps the
+// simulator on the caller's goroutine, so while the event loop runs the
+// only goroutine RunAnalyze adds is the collector's compression meter.
+func TestRunAnalyzeOneGoroutine(t *testing.T) {
+	cfg := fusedTestConfig(1)
+	cfg.Duration = 10 * time.Minute
+	base := runtime.NumGoroutine()
+	most := 0
+	_, _, err := RunAnalyze(context.Background(), cfg, WithRunOptions(WithProgress(func(Progress) {
+		most = max(most, runtime.NumGoroutine())
+	})))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if most == 0 {
+		t.Fatal("no progress callback ran")
+	}
+	if most > base+1 {
+		t.Fatalf("%d goroutines during the run, want <= %d (the caller's and the meter)", most, base+1)
+	}
+	settleGoroutines(t, "finished RunAnalyze", base)
 }
 
 // TestRunAnalyzeCancellation cancels mid-stream and asserts the fused
-// pipeline unwinds: RunAnalyze reports the cancellation (it joins the
-// simulator goroutine before returning, so a hang here is a deadlock in
-// the seam's error propagation).
+// pipeline unwinds: RunAnalyze reports the cancellation, which the next
+// simulator step returns (a hang here means the step error did not stop
+// the sweep).
 func TestRunAnalyzeCancellation(t *testing.T) {
 	cfg := fusedTestConfig(1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -155,6 +162,23 @@ func TestRunAnalyzeCancellation(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("fused pipeline did not unwind after cancellation")
 	}
+}
+
+// TestRunAnalyzeSimulatorError: a simulator step that fails (here the
+// final metrics sink write) fails RunAnalyze with the simulator's own
+// error, returns neither result nor report, and joins the meter.
+func TestRunAnalyzeSimulatorError(t *testing.T) {
+	cfg := fusedTestConfig(1)
+	cfg.Duration = 10 * time.Minute
+	base := runtime.NumGoroutine()
+	rr, rep, err := RunAnalyze(context.Background(), cfg, WithRunOptions(WithMetricsSink(failWriter{})))
+	if !errors.Is(err, errSink) {
+		t.Fatalf("RunAnalyze with a failing metrics sink: got %v, want %v", err, errSink)
+	}
+	if rr != nil || rep != nil {
+		t.Fatalf("failed RunAnalyze returned result %v and report %v, want neither", rr != nil, rep != nil)
+	}
+	settleGoroutines(t, "RunAnalyze with a failing metrics sink", base)
 }
 
 // settleGoroutines waits for the goroutine count to fall back to base,

@@ -45,11 +45,6 @@ type RunConfig struct {
 	// runs (default exact).
 	RateRecompute netsim.Time
 
-	// FullRecompute disables the simulator's dirty-component allocator
-	// and re-solves every flow on every recompute. Results are
-	// identical; the knob exists for validation and A/B timing.
-	FullRecompute bool
-
 	// Deprecated: Sequential has no effect. The simulator always runs
 	// on one goroutine; the field remains for source compatibility.
 	Sequential bool
@@ -162,8 +157,8 @@ type RunOption func(*runOptions)
 
 // WithProgress delivers a Progress report at every simulated-time batch
 // boundary (default every simulated minute; see WithProgressInterval).
-// The callback runs on the simulation goroutine and must not mutate the
-// run.
+// The callback runs on the goroutine that runs the event loop — the
+// caller of Run, or of RunAnalyze — and must not mutate the run.
 func WithProgress(fn func(Progress)) RunOption {
 	return func(o *runOptions) { o.progress = fn }
 }
@@ -226,16 +221,23 @@ func Run(ctx context.Context, cfg RunConfig, opts ...RunOption) (*RunResult, err
 
 // preparedRun is a built-but-not-yet-run simulation: RunAnalyze splits
 // Run at this seam so it can wire the collector's record sink and hand
-// the RunResult to the analyzer before the event loop starts.
+// the RunResult to the analyzer before the event loop starts, and then
+// lets the analysis step the event loop.
 type preparedRun struct {
 	rr *RunResult
 	o  runOptions
 	sw obs.Stopwatch
 
-	// recordSink, when set, is fed the live record stream: the event
-	// loop advances its watermark at every batch boundary. Set between
-	// prepareRun and execute (see RunAnalyze).
+	// recordSink, when set, is fed the live record stream: each step
+	// advances its watermark after its batch. Set between prepareRun and
+	// the first step (see RunAnalyze).
 	recordSink *trace.LiveSource
+
+	// The event loop between steps: the simulated time reached, and the
+	// "simulate" phase and its peak gauges, started by the first step.
+	t                    netsim.Time
+	stopSim              func()
+	peakQueue, peakFlows *obs.Gauge
 }
 
 // prepareRun validates the config and builds the whole cluster —
@@ -277,7 +279,6 @@ func prepareRun(cfg RunConfig, opts ...RunOption) (*preparedRun, error) {
 	net := netsim.New(top, netsim.Options{
 		StatsBinSize:         cfg.UtilBinSize,
 		MinRecomputeInterval: cfg.RateRecompute,
-		FullRecompute:        cfg.FullRecompute,
 	})
 	collector := trace.NewCollector(top, cfg.Trace)
 	net.AddObserver(collector)
@@ -307,76 +308,88 @@ func prepareRun(cfg RunConfig, opts ...RunOption) (*preparedRun, error) {
 	return &preparedRun{rr: rr, o: o, sw: sw}, nil
 }
 
-// execute runs the prepared simulation's event loop to completion and
-// finalizes the metrics snapshot.
+// execute runs the prepared simulation's event loop to completion.
 func (p *preparedRun) execute(ctx context.Context) (*RunResult, error) {
+	for {
+		done, err := p.step(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return p.rr, nil
+		}
+	}
+}
+
+// step runs the next batch of the event loop, then advances the record
+// sink's watermark and reports progress. Slicing is exact: running to
+// t1 then t2 executes the same events in the same order as one run to
+// t2, so batch size affects only observability granularity. The call
+// after the last batch flushes the network, ends the "simulate" phase,
+// finalizes the metrics snapshot and reports done.
+func (p *preparedRun) step(ctx context.Context) (done bool, err error) {
 	o := &p.o
 	reg := o.reg
 	rr := p.rr
-	cfg := rr.Config
 	net, collector, cluster := rr.Net, rr.Collector, rr.Cluster
-
-	// The event loop, sliced into batches. Slicing is exact: running to
-	// t1 then t2 executes the same events in the same order as one run
-	// to t2, so batch size affects only observability granularity.
-	stopSim := reg.StartPhase("simulate")
-	total := cfg.Duration + cfg.DrainTime
-	peakQueue := reg.Gauge("netsim.queue_depth_peak")
-	peakFlows := reg.Gauge("netsim.active_flows_peak")
-	for t := netsim.Time(0); t < total; {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: run canceled at simulated %v: %w", net.Now(), err)
-		}
-		t += o.progressEvery
-		if t > total {
-			t = total
-		}
-		net.Run(t)
-		if p.recordSink != nil {
-			// After Run(t) every pending event is strictly later than t,
-			// so a record not yet emitted has Start > t or belongs to a
-			// still-active flow; min(t+1, earliest active Start) is a
-			// sound release watermark (see trace.LiveSource).
-			w := t + 1
-			if s, ok := net.EarliestActiveStart(); ok && s < w {
-				w = s
-			}
-			p.recordSink.Advance(w)
-		}
-		peakQueue.SetMax(float64(net.Pending()))
-		peakFlows.SetMax(float64(net.ActiveFlows()))
-		var heap uint64
-		if reg != nil || o.progress != nil {
-			heap = reg.SampleRuntime().HeapBytes
-		}
-		if o.progress != nil {
-			o.progress(Progress{
-				SimTime:        t,
-				SimDuration:    total,
-				WallElapsed:    p.sw.Elapsed(),
-				Events:         net.EventsProcessed(),
-				QueueDepth:     net.Pending(),
-				ActiveFlows:    net.ActiveFlows(),
-				FlowsStarted:   net.FlowsStarted(),
-				FlowsCompleted: net.FlowsCompleted(),
-				Records:        collector.NumRecords(),
-				Jobs:           len(cluster.Jobs()),
-				TotalBytes:     net.TotalBytes(),
-				HeapBytes:      heap,
-			})
-		}
+	total := rr.Config.Duration + rr.Config.DrainTime
+	if p.stopSim == nil {
+		p.stopSim = reg.StartPhase("simulate")
+		p.peakQueue = reg.Gauge("netsim.queue_depth_peak")
+		p.peakFlows = reg.Gauge("netsim.active_flows_peak")
 	}
-	net.Flush()
-	stopSim()
-
-	if reg != nil {
-		reg.SampleRuntime()
-		rr.Metrics = reg.Snapshot()
-		if o.sink != nil {
-			if err := rr.Metrics.WriteJSON(o.sink); err != nil {
-				return nil, fmt.Errorf("core: metrics sink: %w", err)
+	if p.t >= total {
+		net.Flush()
+		p.stopSim()
+		if reg != nil {
+			reg.SampleRuntime()
+			rr.Metrics = reg.Snapshot()
+			if o.sink != nil {
+				if err := rr.Metrics.WriteJSON(o.sink); err != nil {
+					return true, fmt.Errorf("core: metrics sink: %w", err)
+				}
 			}
 		}
+		return true, nil
 	}
-	return rr, nil
+	if err := ctx.Err(); err != nil {
+		return false, fmt.Errorf("core: run canceled at simulated %v: %w", net.Now(), err)
+	}
+	p.t = min(p.t+o.progressEvery, total)
+	t := p.t
+	net.Run(t)
+	if p.recordSink != nil {
+		// After Run(t) every pending event is strictly later than t,
+		// so a record not yet emitted has Start > t or belongs to a
+		// still-active flow; min(t+1, earliest active Start) is a
+		// sound release watermark (see trace.LiveSource).
+		w := t + 1
+		if s, ok := net.EarliestActiveStart(); ok && s < w {
+			w = s
+		}
+		p.recordSink.Advance(w)
+	}
+	p.peakQueue.SetMax(float64(net.Pending()))
+	p.peakFlows.SetMax(float64(net.ActiveFlows()))
+	var heap uint64
+	if reg != nil || o.progress != nil {
+		heap = reg.SampleRuntime().HeapBytes
+	}
+	if o.progress != nil {
+		o.progress(Progress{
+			SimTime:        t,
+			SimDuration:    total,
+			WallElapsed:    p.sw.Elapsed(),
+			Events:         net.EventsProcessed(),
+			QueueDepth:     net.Pending(),
+			ActiveFlows:    net.ActiveFlows(),
+			FlowsStarted:   net.FlowsStarted(),
+			FlowsCompleted: net.FlowsCompleted(),
+			Records:        collector.NumRecords(),
+			Jobs:           len(cluster.Jobs()),
+			TotalBytes:     net.TotalBytes(),
+			HeapBytes:      heap,
+		})
+	}
+	return false, nil
 }

@@ -2,9 +2,9 @@
 // simulate+analyze pipelines (core.RunAnalyze) concurrently under a
 // concurrency cap and one memory budget, and merges their reports and
 // metrics in config order. Each admitted run gets one goroutine, which
-// drives core.RunAnalyze; the goroutines that pipeline starts (its
-// simulator and its compression meter) are the run's own, and the Go
-// scheduler shares the cores between runs.
+// drives core.RunAnalyze: the simulation and the analysis both run on
+// it, and the only goroutine the pipeline starts is its compression
+// meter. The Go scheduler shares the cores between runs.
 //
 // The three-rule determinism contract (DESIGN.md §5) governs the runs:
 //
@@ -214,7 +214,7 @@ func executeOne(ctx context.Context, i int, sp RunSpec, cache *topoCache, opts O
 	rr, rep, err := core.RunAnalyze(ctx, sp.Config, aopts...)
 	out.AnalyzeMetrics = aReg.Snapshot()
 	if rr != nil {
-		out.SimMetrics = rr.Metrics // snapshotted by the run's own goroutine
+		out.SimMetrics = rr.Metrics // snapshotted by the last simulator step
 	}
 	if out.AnalyzeMetrics != nil {
 		out.Records = int64(out.AnalyzeMetrics.Value("analyze.records_total"))

@@ -116,7 +116,7 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	top := topology.MustNew(topology.SmallConfig())
 	run := func(seed uint64, full bool, batch Time) (float64, []float64, []Time) {
 		r := stats.NewRNG(seed)
-		n := New(top, Options{FullRecompute: full, MinRecomputeInterval: batch})
+		n := New(top, Options{fullRecompute: full, MinRecomputeInterval: batch})
 		var ends []Time
 		nf := 3 + r.IntN(25)
 		for i := 0; i < nf; i++ {

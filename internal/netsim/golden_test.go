@@ -139,30 +139,61 @@ var syntheticGoldens = [20]struct {
 	{"181c5ea8e720686019fc4f8cf100c44114509fc2df46be749357cfef510c9cc6", 1738},
 }
 
+// goldenSynth is the workload variant of syntheticGoldens[i].
+func goldenSynth(i int) synthConfig {
+	seed := uint64(i + 1)
+	return synthConfig{
+		seed:      seed,
+		batched:   seed%2 == 0,
+		rackLocal: seed%3 != 0,
+		evacuate:  seed%4 == 0 || seed >= 16, // ≥ 9 evacuation-heavy variants
+	}
+}
+
+// goldensRecorded reports whether syntheticGoldens apply on this
+// platform. The digests hash exact float bits; they are recorded for
+// linux/amd64 only, because the Go compiler may fuse multiply-adds on
+// other architectures, which changes rounding.
+func goldensRecorded() bool {
+	return runtime.GOOS == "linux" && runtime.GOARCH == "amd64"
+}
+
 // TestSyntheticTraceGoldens pins the simulator absolutely: 20 random
 // small-cluster workloads — churny, rack-local, evacuation-heavy, exact
 // and batched — must reproduce recorded trace digests bit for bit, so a
 // change that moves every code path at once cannot pass unnoticed.
-// The digests hash exact float bits; they are recorded for linux/amd64
-// only, because the Go compiler may fuse multiply-adds on other
-// architectures, which changes rounding.
 func TestSyntheticTraceGoldens(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+	if !goldensRecorded() {
 		t.Skipf("golden digests are recorded on linux/amd64; %s/%s may fuse multiply-adds, which changes float rounding",
 			runtime.GOOS, runtime.GOARCH)
 	}
 	for i, want := range syntheticGoldens {
-		seed := uint64(i + 1)
-		sc := synthConfig{
-			seed:      seed,
-			batched:   seed%2 == 0,
-			rackLocal: seed%3 != 0,
-			evacuate:  seed%4 == 0 || seed >= 16, // ≥ 9 evacuation-heavy variants
-		}
+		sc := goldenSynth(i)
 		got, n := runSynthetic(t, sc, Options{})
 		if got != want.digest || n != want.flows {
 			t.Errorf("seed %d (batched=%v rackLocal=%v evacuate=%v): digest %s over %d flows, want %s over %d",
-				seed, sc.batched, sc.rackLocal, sc.evacuate, got, n, want.digest, want.flows)
+				sc.seed, sc.batched, sc.rackLocal, sc.evacuate, got, n, want.digest, want.flows)
+		}
+	}
+}
+
+// TestIncrementalAllocatorMatchesFullDigest is the end-to-end A/B of the
+// dirty-component allocator against its oracle, a full re-solve on every
+// step: each of the 20 golden workloads must produce the same trace
+// digest through both, on every platform, and through the full re-solve
+// must also reproduce the recorded golden where goldens apply.
+func TestIncrementalAllocatorMatchesFullDigest(t *testing.T) {
+	for i, want := range syntheticGoldens {
+		sc := goldenSynth(i)
+		inc, incN := runSynthetic(t, sc, Options{})
+		full, fullN := runSynthetic(t, sc, Options{fullRecompute: true})
+		if inc != full || incN != fullN {
+			t.Errorf("seed %d (batched=%v rackLocal=%v evacuate=%v): incremental digest %s over %d flows, full recompute %s over %d",
+				sc.seed, sc.batched, sc.rackLocal, sc.evacuate, inc, incN, full, fullN)
+		}
+		if goldensRecorded() && (full != want.digest || fullN != want.flows) {
+			t.Errorf("seed %d: full recompute digest %s over %d flows, want golden %s over %d",
+				sc.seed, full, fullN, want.digest, want.flows)
 		}
 	}
 }

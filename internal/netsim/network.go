@@ -33,12 +33,12 @@ type Options struct {
 	// server up/downlinks when the topology is small (<= 512 hosts).
 	StatsLinks []topology.LinkID
 
-	// FullRecompute disables the dirty-component optimization and
+	// fullRecompute disables the dirty-component optimization and
 	// re-solves every flow on every recompute, as the original
 	// allocator did. The results are identical (components not sharing
-	// links with changed flows cannot change under max-min); the knob
-	// exists for validation and A/B timing.
-	FullRecompute bool
+	// links with changed flows cannot change under max-min); only this
+	// package's tests set it, as the oracle of the incremental solver.
+	fullRecompute bool
 }
 
 // Observer receives flow lifecycle notifications. The instrumentation
@@ -90,7 +90,7 @@ type Network struct {
 	linkUnfrozen []int32           // unfrozen flows per link
 	linkComp     []uint64          // generation stamp: link gathered this solve
 	comps        []component       // dirty components of the current step
-	fullComp     []topology.LinkID // FullRecompute's one all-flows component
+	fullComp     []topology.LinkID // fullRecompute's one all-flows component
 	cand         []topology.LinkID // solve's bottleneck-candidate scratch
 	compGen      uint64
 
@@ -353,7 +353,7 @@ func (n *Network) step() {
 		}
 	}
 	n.pendingLocal = n.pendingLocal[:0]
-	if n.opts.FullRecompute {
+	if n.opts.fullRecompute {
 		n.recomputeRates()
 	} else {
 		n.recomputeDirty()
@@ -507,7 +507,7 @@ func (n *Network) recomputeDirty() {
 }
 
 // recomputeRates re-solves every active flow from scratch (the
-// FullRecompute path, also used by benchmarks as the worst-case solve).
+// fullRecompute path, also used by benchmarks as the worst-case solve).
 func (n *Network) recomputeRates() {
 	n.recomputesFull++
 	// Drop the dirty bookkeeping: a full solve covers everything.

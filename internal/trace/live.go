@@ -2,24 +2,12 @@ package trace
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
 )
-
-// defaultLiveCapacity bounds the released-record FIFO of a LiveSource:
-// once the consumer lags by this many canonical-order records, Advance
-// blocks the producer (worker-bounded backpressure). ~32k records is a
-// few MB — small next to the reorder heap's O(window) occupancy.
-const defaultLiveCapacity = 1 << 15
-
-// errLiveClosed is what the producer-facing methods observe after the
-// consumer abandoned the stream without a specific error.
-var errLiveClosed = errors.New("trace: live source closed by consumer")
 
 // LiveSource turns a completion-order record stream into a canonical
 // (Start, ID)-order Source while the producer is still running — the
@@ -35,256 +23,91 @@ var errLiveClosed = errors.New("trace: live source closed by consumer")
 //	watermark = min(t + 1, earliest Start among still-active flows)
 //
 // is a sound release frontier: records with Start < watermark can never
-// be preceded and move, in heap order, to a bounded FIFO the consumer
-// drains. The watermark is monotone (active flows at a later t either
-// were already active or started after the earlier t), so released
-// batches concatenate into one strictly increasing (Start, ID) sequence
-// — the Source contract — with simultaneous starts tie-broken by ID
-// inside the heap. Heap occupancy is bounded by the records overlapping
-// the oldest active flow, the same O(window) regime the streaming
-// analyzer established.
+// be preceded and leave the heap in order. The watermark is monotone
+// (active flows at a later t either were already active or started
+// after the earlier t), so the records released under successive
+// watermarks concatenate into one strictly increasing (Start, ID)
+// sequence — the Source contract — with simultaneous starts tie-broken
+// by ID inside the heap. Heap occupancy is bounded by the records
+// overlapping the oldest active flow, the same O(window) regime the
+// streaming analyzer established.
 //
-// Concurrency contract: exactly one producer goroutine calls Emit,
-// Advance and CloseSend; exactly one consumer goroutine calls Next and
-// Close. Emit never blocks (a watermark pinned by a long-lived elephant
-// flow must not deadlock the producer); Advance is where backpressure
-// blocks, and it returns promptly once the consumer calls Close. Errors
-// propagate both ways: CloseSend(err) surfaces err from Next ahead of
-// any still-buffered records, and Close(err) makes producer calls
-// no-ops so both goroutines exit.
+// The consumer drives the producer, on one goroutine. Next pops the
+// heap while its top record is below the watermark; when none is, it
+// calls step, which runs one more producer batch: the batch Emits the
+// records it completes and Advances the watermark. Once step reports
+// done, the rest of the heap drains in canonical order and Next reports
+// io.EOF. A step error drops the heap, and Next reports that error from
+// then on without stepping again: an incomplete trace must fail the
+// analysis, not truncate it silently.
 type LiveSource struct {
-	mu      sync.Mutex
-	canRecv sync.Cond // consumer waits here for released records
-	canSend sync.Cond // producer waits here for FIFO headroom
-
-	buf       recHeap      // above the watermark, min-heap by (Start, ID)
-	ready     []FlowRecord // released, canonical order
-	head      int          // consumption index into ready
-	capacity  int
+	step      func() (done bool, err error)
+	buf       recHeap // above the watermark, min-heap by (Start, ID)
 	watermark netsim.Time
+	done      bool
+	err       error
 
-	sendDone bool
-	sendErr  error // non-nil: producer failed; preempts buffered records
-	recvDone bool
-	recvErr  error
-
-	// Telemetry, guarded by mu (the sampled closures registered by
-	// Instrument read from the snapshotting goroutine). The lag
-	// histogram is producer-written only, per the obs contract.
 	peakBuffered int
-	waits        int64
 	released     int64
 	lagHist      *obs.Histogram
 }
 
-// NewLiveSource returns a live reorder buffer whose released-record FIFO
-// holds up to capacity records (<= 0 selects the default, 1<<15).
-func NewLiveSource(capacity int) *LiveSource {
-	if capacity <= 0 {
-		capacity = defaultLiveCapacity
-	}
-	l := &LiveSource{capacity: capacity}
-	l.canRecv.L = &l.mu
-	l.canSend.L = &l.mu
-	return l
+// NewLiveSource returns a live reorder buffer whose Next pulls records
+// by calling step (see LiveSource).
+func NewLiveSource(step func() (done bool, err error)) *LiveSource {
+	return &LiveSource{step: step}
 }
 
 // Instrument registers the seam's series: trace.live.buffered
-// (current/peak reorder+FIFO occupancy), trace.live.watermark_lag
-// (seconds between a record's Start and the watermark that released
-// it), and pipeline.backpressure_waits (times Advance blocked on a full
-// FIFO). Safe with a nil registry. Call before the producer starts; the
-// histogram is written from the producer goroutine only.
+// (current/peak reorder-heap occupancy), trace.live.released_total, and
+// trace.live.watermark_lag_seconds (seconds between a record's Start
+// and the watermark that released it). Safe with a nil registry.
 func (l *LiveSource) Instrument(r *obs.Registry) {
-	r.SampledGauge("trace.live.buffered", func() float64 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return float64(l.buffered())
-	})
-	r.SampledGauge("trace.live.buffered_peak", func() float64 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return float64(l.peakBuffered)
-	})
-	r.SampledCounter("trace.live.released_total", func() float64 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return float64(l.released)
-	})
-	r.SampledCounter("pipeline.backpressure_waits", func() float64 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return float64(l.waits)
-	})
+	r.SampledGauge("trace.live.buffered", func() float64 { return float64(len(l.buf)) })
+	r.SampledGauge("trace.live.buffered_peak", func() float64 { return float64(l.peakBuffered) })
+	r.SampledCounter("trace.live.released_total", func() float64 { return float64(l.released) })
 	l.lagHist = r.Histogram("trace.live.watermark_lag_seconds", obs.Pow2Bounds(1.0/1024, 24))
 }
 
-// buffered counts records currently held (reorder heap + unread FIFO).
-// Caller holds mu.
-func (l *LiveSource) buffered() int { return len(l.buf) + len(l.ready) - l.head }
-
-// Emit parks one completion-order record in the reorder buffer. It
-// never blocks. Emitting a record below the watermark is a producer
-// bug — the watermark claimed no such record could arrive — and panics.
+// Emit parks one completion-order record in the reorder heap. Emitting
+// a record below the watermark is a producer bug — the watermark
+// claimed no such record could arrive — and panics.
 func (l *LiveSource) Emit(rec FlowRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.recvDone {
-		return // consumer gone; drop until the producer notices
-	}
-	if l.sendDone {
-		panic("trace: LiveSource.Emit after CloseSend")
-	}
 	if rec.Start < l.watermark {
 		panic(fmt.Sprintf("trace: LiveSource.Emit record start %v below watermark %v (flow %d)",
 			rec.Start, l.watermark, rec.ID))
 	}
 	heap.Push(&l.buf, rec)
-	if b := l.buffered(); b > l.peakBuffered {
-		l.peakBuffered = b
-	}
+	l.peakBuffered = max(l.peakBuffered, len(l.buf))
 }
 
-// Advance raises the watermark to w (no-op if w is not ahead) and
-// releases every buffered record with Start < w into the FIFO in
-// canonical order. This is the backpressure point: when the FIFO is
-// full, Advance blocks until the consumer drains it or abandons the
-// stream with Close.
-func (l *LiveSource) Advance(w netsim.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sendDone || w <= l.watermark {
-		return
-	}
-	l.watermark = w
-	for len(l.buf) > 0 && l.buf[0].Start < w {
-		for len(l.ready)-l.head >= l.capacity && !l.recvDone {
-			l.waits++
-			l.canRecv.Signal()
-			l.canSend.Wait()
-		}
-		if l.recvDone {
-			l.buf = nil
-			l.ready = nil
-			l.head = 0
-			return
-		}
-		rec := heap.Pop(&l.buf).(FlowRecord)
-		l.ready = append(l.ready, rec)
-		l.released++
-		// The lag histogram is producer-owned (obs contract) and Advance
-		// runs on the producer goroutine.
-		l.lagHist.Observe((w - rec.Start).Seconds())
-	}
-	l.canRecv.Signal()
-}
+// Advance raises the watermark to w; a w that is not ahead is ignored.
+func (l *LiveSource) Advance(w netsim.Time) { l.watermark = max(l.watermark, w) }
 
-// CloseSend ends the producer side. With a nil err the remaining
-// buffered records drain in canonical order and Next then reports
-// io.EOF; with a non-nil err the buffer is dropped and Next reports err
-// (an incomplete trace must fail the analysis, not truncate it
-// silently). Idempotent; later calls are no-ops.
-func (l *LiveSource) CloseSend(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sendDone {
-		return
-	}
-	l.sendDone = true
-	l.sendErr = err
-	if err != nil || l.recvDone {
-		l.buf = nil
-		if l.recvDone {
-			l.ready = nil
-			l.head = 0
-		}
-	} else {
-		// Final flush ignores the FIFO bound: the records already sit in
-		// the heap, so moving them transfers memory rather than growing it.
-		for len(l.buf) > 0 {
-			rec := heap.Pop(&l.buf).(FlowRecord)
-			l.ready = append(l.ready, rec)
-			l.released++
-		}
-	}
-	l.canRecv.Broadcast()
-	l.canSend.Broadcast()
-}
-
-// Next implements Source: it blocks until a released record is
-// available, the producer closes, or the consumer side is closed. After
-// CloseSend(nil) it drains the remainder and returns io.EOF; a producer
-// error preempts any still-buffered records.
+// Next implements Source: it returns the heap's top record once the
+// watermark (or the producer's end) releases it, stepping the producer
+// until one does.
 func (l *LiveSource) Next() (FlowRecord, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.recvDone {
-			return FlowRecord{}, l.recvErr
+	for l.err == nil {
+		if len(l.buf) > 0 && l.buf[0].Start < l.watermark {
+			l.lagHist.Observe((l.watermark - l.buf[0].Start).Seconds())
+			return l.pop(), nil
 		}
-		if l.sendDone && l.sendErr != nil {
-			return FlowRecord{}, l.sendErr
-		}
-		if l.head < len(l.ready) {
-			rec := l.ready[l.head]
-			l.head++
-			if l.head == len(l.ready) {
-				l.ready = l.ready[:0]
-				l.head = 0
+		if l.done {
+			if len(l.buf) == 0 {
+				return FlowRecord{}, io.EOF
 			}
-			l.canSend.Signal()
-			return rec, nil
+			return l.pop(), nil
 		}
-		if l.sendDone {
-			return FlowRecord{}, io.EOF
-		}
-		l.canRecv.Wait()
+		l.done, l.err = l.step()
 	}
-}
-
-// Close ends the consumer side: buffered records are dropped, blocked
-// Advance calls return, and subsequent Emit/Advance calls are no-ops,
-// letting the producer goroutine run to its own exit. err (or a default
-// when nil) is what later Next calls report. Idempotent.
-func (l *LiveSource) Close(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.recvDone {
-		return
-	}
-	if err == nil {
-		err = errLiveClosed
-	}
-	l.recvDone = true
-	l.recvErr = err
 	l.buf = nil
-	l.ready = nil
-	l.head = 0
-	l.canRecv.Broadcast()
-	l.canSend.Broadcast()
+	return FlowRecord{}, l.err
 }
 
-// Watermark reports the current release frontier (for tests and
-// progress displays).
-func (l *LiveSource) Watermark() netsim.Time {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.watermark
-}
-
-// Buffered reports the records currently held across the reorder heap
-// and the released FIFO.
-func (l *LiveSource) Buffered() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.buffered()
-}
-
-// PeakBuffered reports the high-water mark of Buffered.
-func (l *LiveSource) PeakBuffered() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.peakBuffered
+func (l *LiveSource) pop() FlowRecord {
+	l.released++
+	return heap.Pop(&l.buf).(FlowRecord)
 }
 
 // recHeap is a min-heap of records in canonical (Start, ID) order.

@@ -1,9 +1,9 @@
 package trace
 
 import (
+	"errors"
 	"io"
 	"testing"
-	"time"
 
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
@@ -12,6 +12,25 @@ import (
 // liveRec builds a minimal record; canonical order is (Start, ID).
 func liveRec(id int64, start, end netsim.Time) FlowRecord {
 	return FlowRecord{ID: netsim.FlowID(id), Start: start, End: end, Bytes: 1}
+}
+
+// batchSource returns an instrumented LiveSource whose step runs
+// batches[i] on its i-th call and reports done on the call after the
+// last batch, plus the count of step calls so far.
+func batchSource(batches ...func(l *LiveSource)) (*LiveSource, *obs.Registry, *int) {
+	calls := new(int)
+	var l *LiveSource
+	l = NewLiveSource(func() (bool, error) {
+		*calls++
+		if *calls > len(batches) {
+			return true, nil
+		}
+		batches[*calls-1](l)
+		return false, nil
+	})
+	reg := obs.NewRegistry()
+	l.Instrument(reg)
+	return l, reg, calls
 }
 
 // drainLive collects everything until EOF, failing on any other error.
@@ -37,30 +56,35 @@ func drainLive(t *testing.T, l *LiveSource) []FlowRecord {
 // start order, for spite), including simultaneous starts that must
 // tie-break by ID.
 func TestLiveSourceAdversarialOrder(t *testing.T) {
-	l := NewLiveSource(0)
-	reg := obs.NewRegistry()
-	l.Instrument(reg)
-
 	const elephantStart = netsim.Time(10)
-	// Mice complete first, in reverse start order; ties at Start 500.
-	for i := 20; i > 0; i-- {
-		l.Emit(liveRec(int64(100+i), netsim.Time(1000+10*i), netsim.Time(2000-10*netsim.Time(i))))
-	}
-	l.Emit(liveRec(31, 500, 1500))
-	l.Emit(liveRec(30, 500, 1600)) // same Start, lower ID, emitted later
-	// Watermark moves but stays pinned at the elephant's Start: nothing
-	// with Start >= 10 may be released while the elephant is active.
-	l.Advance(elephantStart)
-	if got := l.Buffered(); got != 22 {
-		t.Fatalf("buffered %d, want 22 (watermark pinned by elephant)", got)
-	}
-	// The elephant finally completes; the producer's next watermark
-	// jumps past every buffered Start.
-	l.Emit(liveRec(1, elephantStart, 5000))
-	l.Advance(5001)
-	l.CloseSend(nil)
+	var bufferedAtBatch2 float64
+	var reg *obs.Registry
+	l, reg, calls := batchSource(
+		func(l *LiveSource) {
+			// Mice complete first, in reverse start order; ties at Start 500.
+			for i := 20; i > 0; i-- {
+				l.Emit(liveRec(int64(100+i), netsim.Time(1000+10*i), netsim.Time(2000-10*netsim.Time(i))))
+			}
+			l.Emit(liveRec(31, 500, 1500))
+			l.Emit(liveRec(30, 500, 1600)) // same Start, lower ID, emitted later
+			// Watermark moves but stays pinned at the elephant's Start:
+			// nothing with Start >= 10 may be released while the
+			// elephant is active.
+			l.Advance(elephantStart)
+		},
+		func(l *LiveSource) {
+			bufferedAtBatch2 = reg.Snapshot().Value("trace.live.buffered")
+			// The elephant finally completes; the watermark jumps past
+			// every buffered Start.
+			l.Emit(liveRec(1, elephantStart, 5000))
+			l.Advance(5001)
+		},
+	)
 
 	got := drainLive(t, l)
+	if bufferedAtBatch2 != 22 {
+		t.Fatalf("buffered %v before the second batch, want 22 (watermark pinned by elephant)", bufferedAtBatch2)
+	}
 	if len(got) != 23 {
 		t.Fatalf("drained %d records, want 23", len(got))
 	}
@@ -78,93 +102,86 @@ func TestLiveSourceAdversarialOrder(t *testing.T) {
 		t.Fatalf("simultaneous starts must tie-break by ID: got %d then %d, want 30 then 31",
 			got[1].ID, got[2].ID)
 	}
-	if peak := l.PeakBuffered(); peak != 23 {
-		t.Fatalf("peak buffered %d, want 23", peak)
+	snap := reg.Snapshot()
+	if peak := snap.Value("trace.live.buffered_peak"); peak != 23 {
+		t.Fatalf("peak buffered %v, want 23", peak)
+	}
+	if rel := snap.Value("trace.live.released_total"); rel != 23 {
+		t.Fatalf("released %v, want 23", rel)
 	}
 
-	// A second EOF read and the idempotent CloseSend must both hold.
+	// A second EOF read must not step the finished producer again.
 	if _, err := l.Next(); err != io.EOF {
 		t.Fatalf("Next after drain: %v, want io.EOF", err)
 	}
-	l.CloseSend(nil)
-}
-
-// TestLiveSourceBackpressure fills a tiny FIFO and checks Advance
-// blocks until the consumer drains, counting the waits.
-func TestLiveSourceBackpressure(t *testing.T) {
-	l := NewLiveSource(2)
-	for i := 0; i < 6; i++ {
-		l.Emit(liveRec(int64(i), netsim.Time(i), netsim.Time(100+i)))
-	}
-	advanced := make(chan struct{})
-	go func() {
-		l.Advance(100) // wants to release 6 into a FIFO of 2: must block
-		l.CloseSend(nil)
-		close(advanced)
-	}()
-	select {
-	case <-advanced:
-		t.Fatal("Advance returned without consumer draining a full FIFO")
-	case <-time.After(20 * time.Millisecond):
-	}
-	got := drainLive(t, l)
-	<-advanced
-	if len(got) != 6 {
-		t.Fatalf("drained %d, want 6", len(got))
-	}
-	if l.Watermark() != 100 {
-		t.Fatalf("watermark %v, want 100", l.Watermark())
+	if *calls != 3 {
+		t.Fatalf("step called %d times, want 3 (two batches and the end)", *calls)
 	}
 }
 
-// TestLiveSourceProducerError checks a failed producer preempts
-// buffered records: the consumer must see the error, not a truncated
-// stream that looks complete.
+// TestLiveSourceLazyStep pins the pull contract: step runs only when no
+// record is releasable, and never after it reported done.
+func TestLiveSourceLazyStep(t *testing.T) {
+	l, _, calls := batchSource(func(l *LiveSource) {
+		l.Emit(liveRec(3, 3, 9))
+		l.Emit(liveRec(1, 1, 9))
+		l.Emit(liveRec(2, 2, 9))
+		l.Emit(liveRec(4, 20, 25)) // above the watermark: waits for the end
+		l.Advance(10)
+	})
+	for want := int64(1); want <= 3; want++ {
+		rec, err := l.Next()
+		if err != nil || int64(rec.ID) != want {
+			t.Fatalf("Next: record %d, %v; want record %d", rec.ID, err, want)
+		}
+		if *calls != 1 {
+			t.Fatalf("step called %d times with record %d releasable, want 1", *calls, want)
+		}
+	}
+	if rec, err := l.Next(); err != nil || rec.ID != 4 {
+		t.Fatalf("Next after the last batch: record %d, %v; want record 4", rec.ID, err)
+	}
+	if _, err := l.Next(); err != io.EOF {
+		t.Fatalf("Next after drain: %v, want io.EOF", err)
+	}
+	if *calls != 2 {
+		t.Fatalf("step called %d times, want 2 (one batch and the end)", *calls)
+	}
+}
+
+// TestLiveSourceProducerError checks a failed producer preempts parked
+// records: the consumer must see the error, not a truncated stream that
+// looks complete, and keeps seeing it without stepping the failed
+// producer again.
 func TestLiveSourceProducerError(t *testing.T) {
-	l := NewLiveSource(0)
-	l.Emit(liveRec(1, 0, 5))
-	l.Advance(10)
-	wantErr := io.ErrUnexpectedEOF
-	l.CloseSend(wantErr)
-	if _, err := l.Next(); err != wantErr {
-		t.Fatalf("Next after failed CloseSend: %v, want %v (released records must not mask the failure)", err, wantErr)
-	}
-}
-
-// TestLiveSourceConsumerClose cancels from the consumer side mid-stream
-// and asserts the producer goroutine unblocks and exits: Close must
-// wake a Advance blocked on a full FIFO and turn further Emit/Advance
-// into no-ops.
-func TestLiveSourceConsumerClose(t *testing.T) {
-	l := NewLiveSource(1)
-	producerDone := make(chan struct{})
-	go func() {
-		defer close(producerDone)
-		for i := 0; i < 100; i++ {
-			l.Emit(liveRec(int64(i), netsim.Time(i), netsim.Time(1000+i)))
+	wantErr := errors.New("producer failed")
+	calls := 0
+	var l *LiveSource
+	l = NewLiveSource(func() (bool, error) {
+		calls++
+		if calls == 1 {
+			l.Emit(liveRec(1, 0, 5))
+			l.Emit(liveRec(2, 50, 60)) // parked above the watermark
+			l.Advance(10)
+			return false, nil
 		}
-		l.Advance(1000) // blocks on the 1-record FIFO until Close
-		for i := 100; i < 200; i++ {
-			l.Emit(liveRec(int64(i), netsim.Time(i), netsim.Time(1000+i)))
+		return false, wantErr
+	})
+	reg := obs.NewRegistry()
+	l.Instrument(reg)
+	if rec, err := l.Next(); err != nil || rec.ID != 1 {
+		t.Fatalf("Next: record %d, %v; want record 1", rec.ID, err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Next(); err != wantErr {
+			t.Fatalf("Next after a failed step: %v, want %v (parked records must not mask the failure)", err, wantErr)
 		}
-		l.Advance(2000)
-		l.CloseSend(nil)
-	}()
-	if _, err := l.Next(); err != nil { // take one so the producer is mid-Advance
-		t.Fatalf("Next: %v", err)
 	}
-	wantErr := io.ErrClosedPipe
-	l.Close(wantErr)
-	select {
-	case <-producerDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("producer still blocked after consumer Close")
+	if calls != 2 {
+		t.Fatalf("step called %d times, want 2 (a failed producer is not stepped again)", calls)
 	}
-	if _, err := l.Next(); err != wantErr {
-		t.Fatalf("Next after Close: %v, want %v", err, wantErr)
-	}
-	if got := l.Buffered(); got != 0 {
-		t.Fatalf("buffered %d after Close, want 0 (memory released)", got)
+	if b := reg.Snapshot().Value("trace.live.buffered"); b != 0 {
+		t.Fatalf("buffered %v after a failed step, want 0 (parked records dropped)", b)
 	}
 }
 
@@ -172,7 +189,7 @@ func TestLiveSourceConsumerClose(t *testing.T) {
 // record below the watermark means the producer's frontier lied, and
 // silently reordering would corrupt every downstream figure.
 func TestLiveSourceEmitBelowWatermarkPanics(t *testing.T) {
-	l := NewLiveSource(0)
+	l := NewLiveSource(nil)
 	l.Advance(100)
 	defer func() {
 		if recover() == nil {

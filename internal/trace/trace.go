@@ -193,12 +193,11 @@ func (c *Collector) FlowEnded(f *netsim.Flow) {
 }
 
 // SetSink registers a callback invoked with each record as it is
-// appended to the log. FlowEnded callbacks run on the simulation's
-// coordinator goroutine after the fixed-order completion merge, so the
-// sink sees records in the same deterministic completion order
-// Records() accumulates — this is the emission path core.RunAnalyze
-// feeds a LiveSource from. The sink must not block unboundedly on the
-// consumer (LiveSource.Emit never does).
+// appended to the log. FlowEnded callbacks run on the event-loop
+// goroutine in the simulator's deterministic completion order, so the
+// sink sees records in the same order Records() accumulates — this is
+// the emission path core.RunAnalyze feeds a LiveSource from. The sink
+// runs inside the event loop and must not block.
 func (c *Collector) SetSink(fn func(FlowRecord)) { c.sink = fn }
 
 func (c *Collector) account(s topology.ServerID, events, bytes int64) {
