@@ -47,12 +47,14 @@ test-short:
 # The fuzz targets, 10 s each (-fuzz takes one target per run): the
 # trace codec's decoders against encoding/json as the oracle (same
 # verdict, same records) and its encoder against json.Marshal byte for
-# byte; and the stats radix sort against the sort.Slice comparator
-# sort it replaced, bit for bit.
+# byte; the live seam's release order against a sort.Slice copy, under
+# random watermark schedules; and the stats radix sort against the
+# sort.Slice comparator sort it replaced, bit for bit.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONLGz$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSONL$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzLiveSourceOrder$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSortSamples$$' -fuzztime 10s ./internal/stats
 
 # End-to-end observability smoke test: a short SmallRun-shaped dcsim

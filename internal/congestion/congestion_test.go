@@ -13,10 +13,17 @@ import (
 
 // saturate runs flows through a small network and returns it with 1s
 // utilization bins recorded.
+// saturate returns a network that bins every server uplink as well as
+// the inter-switch links (the ToR uplinks among them): the tests below
+// detect episodes on both kinds.
 func saturate(t *testing.T) (*netsim.Network, *topology.Topology) {
 	t.Helper()
 	top := topology.MustNew(topology.SmallConfig())
-	net := netsim.New(top, netsim.Options{StatsBinSize: time.Second})
+	links := top.InterSwitchLinks()
+	for s := 0; s < top.NumHosts(); s++ {
+		links = append(links, top.ServerUplink(topology.ServerID(s)))
+	}
+	net := netsim.New(top, netsim.Options{StatsBinSize: time.Second, StatsLinks: links})
 	return net, top
 }
 
@@ -48,7 +55,11 @@ func TestDetectBelowThreshold(t *testing.T) {
 	}
 	net.RunAll()
 	// Server uplinks at 50%: below the 70% threshold.
-	eps := Detect(net.Stats(), top, 0.7, []topology.LinkID{top.ServerUplink(src[0])})
+	up := top.ServerUplink(src[0])
+	if !net.Stats().Tracked(up) {
+		t.Fatal("server uplink not binned: the no-episode check below would be vacuous")
+	}
+	eps := Detect(net.Stats(), top, 0.7, []topology.LinkID{up})
 	if len(eps) != 0 {
 		t.Fatalf("expected no episodes at 50%% util, got %v", eps)
 	}

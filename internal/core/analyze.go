@@ -230,13 +230,13 @@ type tomoSlot struct {
 const recordShardTarget = 1 << 17
 
 // tomoDeferred is one tomography window parked by the fused pipeline:
-// the window slice is captured at its sweep boundary (identical to the
-// two-phase slice) but solved only after the simulation drains, because
-// the job event log it reads is written until then.
+// the window's ToR matrix is computed at its sweep boundary (from the
+// slice the two-phase path sees) but solved only after the simulation
+// drains, because the job event log it reads is written until then.
 type tomoDeferred struct {
-	idx      int
-	from, to netsim.Time
-	slice    []trace.FlowRecord
+	idx   int
+	from  netsim.Time
+	truth *tm.Matrix
 }
 
 // streamAnalysis is the state of one AnalyzeSource sweep.
@@ -643,15 +643,16 @@ func (a *streamAnalysis) dispatch(w *figWindow) {
 	case winFig10:
 		a.ring.Push(tm.ServerMatrix(slice, a.numHosts, from, to))
 	case winTomo:
+		truth := tm.TorMatrix(slice, a.top, from, to)
 		if a.fused {
 			// The estimator chain reads the job event log, which the
-			// still-running simulation is writing: park the window's slice
-			// (captured here, so it is identical to the two-phase slice)
-			// and solve the chain in window order in finishRun.
-			a.tomoPending = append(a.tomoPending, tomoDeferred{idx: w.idx, from: from, to: to, slice: slice})
+			// still-running simulation is writing: park the window's
+			// matrix (computed here, from the two-phase slice) and solve
+			// the chain in window order in finishRun.
+			a.tomoPending = append(a.tomoPending, tomoDeferred{idx: w.idx, from: from, truth: truth})
 			return
 		}
-		a.tomoWindow(w.idx, from, to, slice)
+		a.tomoWindow(w.idx, from, truth)
 	}
 }
 
@@ -679,8 +680,8 @@ func (a *streamAnalysis) finishRun(ctx context.Context) error {
 			return err
 		}
 		d := &a.tomoPending[i]
-		a.tomoWindow(d.idx, d.from, d.to, d.slice)
-		d.slice = nil
+		a.tomoWindow(d.idx, d.from, d.truth)
+		d.truth = nil
 	}
 	a.tomoPending = nil
 	return nil
@@ -690,9 +691,9 @@ func (a *streamAnalysis) finishRun(ctx context.Context) error {
 // estimator chain, replicating the sequential loop's skip-on-error
 // semantics. Windows arrive in index order (the registry is sorted by
 // boundary), so consecutive solvable windows warm-start exactly like a
-// single chain over the whole series.
-func (a *streamAnalysis) tomoWindow(i int, from, to netsim.Time, slice []trace.FlowRecord) {
-	truth := tm.TorMatrix(slice, a.top, from, to)
+// single chain over the whole series. truth is the ToR matrix of the
+// window that starts at from.
+func (a *streamAnalysis) tomoWindow(i int, from netsim.Time, truth *tm.Matrix) {
 	if truth.Total() <= 0 {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -173,3 +174,46 @@ var errSink = errors.New("sink broken")
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errSink }
+
+// A run bins the inter-switch links alone, two-phase and fused: they
+// are the only counters congestion detection and tomography read, and
+// server-level traffic comes from the record log.
+func TestRunBinsOnlyInterSwitchLinks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two shortened simulations")
+	}
+	cfg := shortCfg()
+	rr, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, _, err := RunAnalyze(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		rr   *RunResult
+	}{{"Run", rr}, {"RunAnalyze", fused}} {
+		name, rr := c.name, c.rr
+		st := rr.Net.Stats()
+		want := rr.Top.InterSwitchLinks()
+		slices.Sort(want)
+		if got := st.TrackedLinks(); !slices.Equal(got, want) {
+			t.Fatalf("%s: tracked links %v, want the inter-switch links %v", name, got, want)
+		}
+		binned := 0
+		for _, l := range rr.Top.Links() {
+			if len(st.Bytes(l.ID)) == 0 {
+				continue
+			}
+			if !slices.Contains(want, l.ID) {
+				t.Fatalf("%s: link %s holds bins but is not inter-switch", name, l.Name)
+			}
+			binned++
+		}
+		if binned == 0 {
+			t.Fatalf("%s: no inter-switch link holds bins", name)
+		}
+	}
+}

@@ -29,8 +29,10 @@ type Options struct {
 	StatsBinSize Time
 
 	// StatsLinks selects which links are binned. Nil tracks the
-	// inter-switch links (the paper's congestion link set) plus all
-	// server up/downlinks when the topology is small (<= 512 hosts).
+	// inter-switch links at every scale: the paper's congestion link set
+	// and the only counters tomography reads. Server-level traffic comes
+	// from the record log, so callers that want a server link's bins
+	// name it here.
 	StatsLinks []topology.LinkID
 
 	// fullRecompute disables the dirty-component optimization and
@@ -154,12 +156,6 @@ func New(top *topology.Topology, opts Options) *Network {
 		links := opts.StatsLinks
 		if links == nil {
 			links = top.InterSwitchLinks()
-			if top.NumHosts() <= 512 {
-				for s := 0; s < top.NumHosts(); s++ {
-					sid := topology.ServerID(s)
-					links = append(links, top.ServerUplink(sid), top.ServerDownlink(sid))
-				}
-			}
 		}
 		n.stats = newLinkStats(opts.StatsBinSize, nl, links)
 	}

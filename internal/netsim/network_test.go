@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -219,8 +220,8 @@ func TestLinkByteConservation(t *testing.T) {
 }
 
 func TestLinkStatsBinning(t *testing.T) {
-	n := newNet(t, Options{StatsBinSize: time.Second})
-	top := n.Top()
+	top := topology.MustNew(topology.SmallConfig())
+	n := New(top, Options{StatsBinSize: time.Second, StatsLinks: []topology.LinkID{top.ServerUplink(0)}})
 	// 312.5 MB at 1 Gbps = 2.5 s: bins should hold 125 MB, 125 MB, 62.5 MB.
 	n.StartFlow(0, 1, 312_500_000, FlowTag{}, nil)
 	n.RunAll()
@@ -241,17 +242,29 @@ func TestLinkStatsBinning(t *testing.T) {
 }
 
 func TestStatsTrackedLinks(t *testing.T) {
-	n := newNet(t, Options{StatsBinSize: time.Second})
-	st := n.Stats()
+	top := topology.MustNew(topology.SmallConfig())
+	st := New(top, Options{StatsBinSize: time.Second}).Stats()
 	if st == nil {
 		t.Fatal("stats disabled")
 	}
-	// SmallConfig has <= 512 hosts, so server links are tracked too.
-	if !st.Tracked(n.Top().TorUplink(0)) || !st.Tracked(n.Top().ServerUplink(0)) {
-		t.Fatal("expected ToR and server links tracked")
+	// By default only the inter-switch links are binned, whatever the
+	// cluster size: no server link.
+	want := top.InterSwitchLinks()
+	slices.Sort(want)
+	if got := st.TrackedLinks(); !slices.Equal(got, want) {
+		t.Fatalf("tracked %v, want the inter-switch links %v", got, want)
 	}
-	if len(st.TrackedLinks()) == 0 {
-		t.Fatal("no tracked links")
+	for s := 0; s < top.NumHosts(); s++ {
+		sid := topology.ServerID(s)
+		if st.Tracked(top.ServerUplink(sid)) || st.Tracked(top.ServerDownlink(sid)) {
+			t.Fatalf("server %d's links tracked by default", s)
+		}
+	}
+	// StatsLinks names exactly the links to bin.
+	named := []topology.LinkID{top.ServerUplink(3), top.TorUplink(0)}
+	st = New(top, Options{StatsBinSize: time.Second, StatsLinks: named}).Stats()
+	if got := st.TrackedLinks(); len(got) != 2 || !st.Tracked(named[0]) || !st.Tracked(named[1]) {
+		t.Fatalf("tracked %v, want %v", got, named)
 	}
 }
 
@@ -427,8 +440,12 @@ func TestBatchedConservationProperty(t *testing.T) {
 }
 
 func TestUtilizationNeverExceedsCapacity(t *testing.T) {
-	n := newNet(t, Options{StatsBinSize: 100 * time.Millisecond})
-	top := n.Top()
+	top := topology.MustNew(topology.SmallConfig())
+	var all []topology.LinkID
+	for _, l := range top.Links() {
+		all = append(all, l.ID)
+	}
+	n := New(top, Options{StatsBinSize: 100 * time.Millisecond, StatsLinks: all})
 	// Saturate several paths simultaneously.
 	for i := 0; i < 20; i++ {
 		n.StartFlow(topology.ServerID(i%40), topology.ServerID((i+40)%80), 50_000_000, FlowTag{}, nil)
@@ -436,9 +453,6 @@ func TestUtilizationNeverExceedsCapacity(t *testing.T) {
 	n.RunAll()
 	bins := n.Stats().Bins()
 	for _, l := range top.Links() {
-		if !n.Stats().Tracked(l.ID) {
-			continue
-		}
 		for i, u := range n.Stats().Utilization(l.ID, l.CapacityBps, bins) {
 			if u > 1.0001 {
 				t.Fatalf("link %s bin %d utilization %v > 1", l.Name, i, u)

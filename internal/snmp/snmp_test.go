@@ -14,11 +14,12 @@ import (
 func constantRateNet(t *testing.T, dur time.Duration) (*netsim.Network, topology.LinkID) {
 	t.Helper()
 	top := topology.MustNew(topology.SmallConfig())
-	net := netsim.New(top, netsim.Options{StatsBinSize: time.Second})
+	link := top.ServerUplink(0)
+	net := netsim.New(top, netsim.Options{StatsBinSize: time.Second, StatsLinks: []topology.LinkID{link}})
 	bytes := int64(125e6 * dur.Seconds()) // 1 Gbps
 	net.StartFlow(0, 1, bytes, netsim.FlowTag{}, nil)
 	net.RunAll()
-	return net, top.ServerUplink(0)
+	return net, link
 }
 
 func TestCollectAndReconstruct(t *testing.T) {

@@ -21,6 +21,10 @@ import (
 // hands any other input to encoding/json, which also serves the tests
 // as the oracle for both directions.
 
+// minJSONLLine is the length of the shortest line appendJSONL writes:
+// every number one digit, no "canceled" key.
+const minJSONLLine = 119
+
 // appendJSONL appends rec's JSON line, newline included, to b.
 func appendJSONL(b []byte, rec *FlowRecord) []byte {
 	b = append(b, `{"id":`...)

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 
@@ -77,7 +76,7 @@ func (l *LiveSource) Emit(rec FlowRecord) {
 		panic(fmt.Sprintf("trace: LiveSource.Emit record start %v below watermark %v (flow %d)",
 			rec.Start, l.watermark, rec.ID))
 	}
-	heap.Push(&l.buf, rec)
+	l.buf.push(rec)
 	l.peakBuffered = max(l.peakBuffered, len(l.buf))
 }
 
@@ -107,20 +106,53 @@ func (l *LiveSource) Next() (FlowRecord, error) {
 
 func (l *LiveSource) pop() FlowRecord {
 	l.released++
-	return heap.Pop(&l.buf).(FlowRecord)
+	return l.buf.pop()
 }
 
-// recHeap is a min-heap of records in canonical (Start, ID) order.
+// recHeap is a binary min-heap of records in canonical (Start, ID)
+// order. It sifts records in place rather than through container/heap,
+// whose Push and Pop box each record into an interface. (Start, ID) is
+// a total order, so any correct heap pops the same sequence.
 type recHeap []FlowRecord
 
-func (h recHeap) Len() int           { return len(h) }
-func (h recHeap) Less(a, b int) bool { return recordLess(&h[a], &h[b]) }
-func (h recHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
-func (h *recHeap) Push(x any)        { *h = append(*h, x.(FlowRecord)) }
-func (h *recHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
+// push adds rec, moving the parents it beats down one level each.
+func (h *recHeap) push(rec FlowRecord) {
+	s := append(*h, rec)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !recordLess(&rec, &s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = rec
+	*h = s
+}
+
+// pop removes and returns the least record; the heap must not be
+// empty. The last record refills the root's hole from the top down.
+func (h *recHeap) pop() FlowRecord {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && recordLess(&s[c+1], &s[c]) {
+			c++
+		}
+		if !recordLess(&s[c], &last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }

@@ -3,10 +3,12 @@ package trace
 import (
 	"errors"
 	"io"
+	"sort"
 	"testing"
 
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
+	"dctraffic/internal/stats"
 )
 
 // liveRec builds a minimal record; canonical order is (Start, ID).
@@ -197,4 +199,90 @@ func TestLiveSourceEmitBelowWatermarkPanics(t *testing.T) {
 		}
 	}()
 	l.Emit(liveRec(1, 50, 60))
+}
+
+// checkLiveOrder drives a LiveSource with n random records whose starts
+// fall in [0, horizon), many of them simultaneous, under the simulator's
+// watermark rule: each step moves the clock t forward by a random
+// amount, emits every record that has ended by t in random order, and
+// advances the watermark to min(t+1, the earliest Start of a flow
+// still active at t), sometimes also to a stale lower value. Next must
+// return every record once, in the order of a sort.Slice copy.
+func checkLiveOrder(t *testing.T, seed uint64, n int, horizon netsim.Time) {
+	t.Helper()
+	rng := stats.NewRNG(seed)
+	recs := make([]FlowRecord, n)
+	for i, id := range rng.Perm(n) {
+		start := netsim.Time(rng.Int64N(int64(horizon)))
+		var dur netsim.Time
+		switch rng.IntN(3) {
+		case 0: // instantaneous
+		case 1: // short
+			dur = netsim.Time(rng.Int64N(8))
+		default: // long-lived: pins the watermark
+			dur = netsim.Time(rng.Int64N(int64(horizon)))
+		}
+		recs[i] = liveRec(int64(id), start, start+dur)
+	}
+	want := append([]FlowRecord(nil), recs...)
+	sort.Slice(want, func(a, b int) bool { return recordLess(&want[a], &want[b]) })
+
+	// Completion order, as the producer emits: by End.
+	pending := append([]FlowRecord(nil), recs...)
+	sort.Slice(pending, func(a, b int) bool { return pending[a].End < pending[b].End })
+	clock := netsim.Time(-1)
+	var l *LiveSource
+	l = NewLiveSource(func() (bool, error) {
+		clock += 1 + netsim.Time(rng.Int64N(4))
+		k := 0
+		for k < len(pending) && pending[k].End <= clock {
+			k++
+		}
+		batch := pending[:k]
+		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		for _, rec := range batch {
+			l.Emit(rec)
+		}
+		pending = pending[k:]
+		w := clock + 1
+		for i := range pending {
+			if pending[i].Start <= clock {
+				w = min(w, pending[i].Start)
+			}
+		}
+		l.Advance(w)
+		if rng.IntN(4) == 0 {
+			l.Advance(w - 1 - netsim.Time(rng.Int64N(3)))
+		}
+		return len(pending) == 0, nil
+	})
+	got := drainLive(t, l)
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: released %d records, want %d", seed, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: record %d is %+v, want %+v", seed, i, got[i], want[i])
+		}
+	}
+}
+
+// TestLiveSourceReleaseOrder is the seeded property: random records and
+// watermark schedules, from a handful of records to a few thousand.
+func TestLiveSourceReleaseOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		n := int(seed * seed)
+		checkLiveOrder(t, seed, n, netsim.Time(1+n/int(1+seed%5)))
+	}
+}
+
+// FuzzLiveSourceOrder searches the same property over seeds, record
+// counts and start horizons.
+func FuzzLiveSourceOrder(f *testing.F) {
+	f.Add(uint64(1), uint16(0), uint16(1))
+	f.Add(uint64(2), uint16(50), uint16(3))
+	f.Add(uint64(3), uint16(400), uint16(400))
+	f.Fuzz(func(t *testing.T, seed uint64, n, horizon uint16) {
+		checkLiveOrder(t, seed, int(n%1024), netsim.Time(1+horizon%2048))
+	})
 }

@@ -63,7 +63,8 @@ func (s *SliceSource) Len() int { return len(s.recs) }
 // FileOptions tunes FileSource's external sort.
 type FileOptions struct {
 	// SortChunk is the number of records sorted in memory per spill
-	// chunk; <= 0 selects the default (1<<18, ~16 MB of records).
+	// chunk; <= 0 selects the default (1<<18 records of 96 bytes,
+	// 24 MiB).
 	SortChunk int
 	// TempDir receives spill files; empty uses the OS default.
 	TempDir string
@@ -117,6 +118,12 @@ func OpenFile(path string, opts FileOptions) (*FileSource, error) {
 	}
 	defer f.Close()
 	var in io.Reader = f
+	// The first chunk's capacity. Plain input holds at most
+	// size/minJSONLLine records of the form Writer writes, so its chunk
+	// is allocated once. Compressed input, or a file whose size Stat
+	// cannot tell (the reads below then report the fault), starts small
+	// and grows.
+	capHint := 4096
 	if strings.HasSuffix(path, ".gz") {
 		gz, err := gzip.NewReader(in)
 		if err != nil {
@@ -124,9 +131,11 @@ func OpenFile(path string, opts FileOptions) (*FileSource, error) {
 		}
 		defer gz.Close()
 		in = gz
+	} else if fi, err := f.Stat(); err == nil {
+		capHint = int(fi.Size() / minJSONLLine)
 	}
 	s := &FileSource{opts: opts}
-	if err := s.load(NewReader(in)); err != nil {
+	if err := s.load(NewReader(in), min(capHint, opts.SortChunk)); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -134,9 +143,10 @@ func OpenFile(path string, opts FileOptions) (*FileSource, error) {
 }
 
 // load reads the input into sorted spill chunks (or the in-memory fast
-// path) and reduces the spill set below the merge fan-in.
-func (s *FileSource) load(rd *Reader) error {
-	chunk := make([]FlowRecord, 0, min(s.opts.SortChunk, 4096))
+// path) and reduces the spill set below the merge fan-in. The chunk
+// starts at capacity capHint and grows by append past it.
+func (s *FileSource) load(rd *Reader, capHint int) error {
+	chunk := make([]FlowRecord, 0, capHint)
 	for {
 		rec, err := rd.Read()
 		if err == io.EOF {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -83,29 +85,70 @@ func writeTraceFile(t *testing.T, records []FlowRecord) string {
 // chunk sizes that force multi-spill external merges — because digest
 // identity between the in-memory and streaming analysis paths rests on
 // exactly this.
+//
+// The inputs cover each way OpenFile sizes its first chunk: the
+// Writer's lines (capacity from the file size), the same lines gzipped
+// (no size known), and lines shorter than any the Writer writes, which
+// encoding/json decodes and which hold more records than the file size
+// predicts.
 func TestFileSourceMatchesSliceSourceAcrossChunkSizes(t *testing.T) {
 	top := testTopology(t)
 	recs := randomRecords(t, top, 3000, netsim.Time(5*time.Minute))
-	path := writeTraceFile(t, recs)
 	want := drain(t, NewSliceSource(recs))
 
-	for _, chunk := range []int{0, 7, 64, 1000, 100000} {
-		src, err := OpenFile(path, FileOptions{SortChunk: chunk, TempDir: t.TempDir()})
-		if err != nil {
-			t.Fatalf("chunk %d: %v", chunk, err)
+	dir := t.TempDir()
+	gzPath := filepath.Join(dir, "trace.jsonl.gz")
+	var gz bytes.Buffer
+	if _, _, err := WriteJSONLGz(&gz, recs); err != nil {
+		t.Fatal(err)
+	}
+	// randomRecords leaves ports and tags zero, so the short form needs
+	// only six keys.
+	shortPath := filepath.Join(dir, "short.jsonl")
+	var short bytes.Buffer
+	for _, r := range recs {
+		line := fmt.Sprintf(`{"id":%d,"src":%d,"dst":%d,"start":%d,"end":%d,"bytes":%d}`+"\n",
+			r.ID, r.Src, r.Dst, r.Start, r.End, r.Bytes)
+		if len(line) >= minJSONLLine {
+			t.Fatalf("short line is %d bytes, want under %d", len(line), minJSONLLine)
 		}
-		got := drain(t, src)
-		if err := src.Close(); err != nil {
-			t.Fatalf("chunk %d: close: %v", chunk, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: got %d records, want %d", chunk, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("chunk %d: record %d: %+v != %+v", chunk, i, got[i], want[i])
+		short.WriteString(line)
+	}
+	if err := os.WriteFile(gzPath, gz.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shortPath, short.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{writeTraceFile(t, recs), gzPath, shortPath} {
+		name := filepath.Base(path)
+		for _, chunk := range []int{0, 7, 64, 1000, 100000} {
+			src, err := OpenFile(path, FileOptions{SortChunk: chunk, TempDir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("%s, chunk %d: %v", name, chunk, err)
+			}
+			got := drain(t, src)
+			if err := src.Close(); err != nil {
+				t.Fatalf("%s, chunk %d: close: %v", name, chunk, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s, chunk %d: got %d records, want %d", name, chunk, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s, chunk %d: record %d: %+v != %+v", name, chunk, i, got[i], want[i])
+				}
 			}
 		}
+	}
+}
+
+// minJSONLLine is the shortest line the Writer writes: OpenFile's
+// chunk capacity rests on it.
+func TestMinJSONLLine(t *testing.T) {
+	if n := len(appendJSONL(nil, &FlowRecord{})); n != minJSONLLine {
+		t.Fatalf("zero record's line is %d bytes, minJSONLLine is %d", n, minJSONLLine)
 	}
 }
 
