@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short fuzz smoke-metrics smoke-stream smoke-fused smoke-sweep bench bench-snapshot figures day paper-day clean
+.PHONY: all build vet lint test test-short fuzz smoke-metrics smoke-stream smoke-fused smoke-sweep bench figures day paper-day clean
 
 all: build vet lint test
 
@@ -18,8 +18,9 @@ vet:
 	fi
 
 # The determinism multichecker (cmd/dctlint): mapiter, walltime,
-# globalrand, floatsum, plus the dataflow-backed parallel-contract
-# analyzers sharedslot, mergeorder, rngshare, over every package.
+# globalrand, floatsum, and gostmt, which fails on any go statement not
+# registered with a reasoned //dctlint:ignore gostmt directive and
+# listed in DESIGN.md §5's goroutine table, over every package.
 # Stale //dctlint:ignore directives are findings too. CI runs the same
 # binary with -github for inline PR annotations; -json is available for
 # tooling. See DESIGN.md, "Determinism".
@@ -32,9 +33,10 @@ lint:
 # and over internal/trace (the compression meter), the analyze race leg
 # (the compression meter running beside the sweep, on the streaming and
 # fused paths; a fused run steps its simulator on the analysis
-# goroutine, so the meter is the only goroutine a run starts), and the
-# fleet race leg (concurrent pipelines sharing the admission gate and
-# the topology cache).
+# goroutine, so the meter is the only goroutine a run starts; it also
+# runs the test that a recovered panic joins the meter), and the fleet
+# race leg (concurrent pipelines sharing the admission gate and the
+# topology cache, and a panicking run failing alone).
 test: vet lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/netsim ./internal/sched ./internal/trace
@@ -98,17 +100,6 @@ smoke-sweep:
 # per-package infrastructure benchmarks (simulator, TM, trace, solver).
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# Machine-readable snapshots of the netsim allocator, analysis
-# pipeline, and tomography solver benchmarks, tracked in-repo so future
-# PRs can see the perf trajectory. The tomo pair is the warm-start
-# headline: one cold paper-scale sparsity-max solve vs the steady-state
-# warm window.
-bench-snapshot:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/netsim | $(GO) run ./cmd/benchjson > BENCH_netsim.json
-	$(GO) test -bench 'BenchmarkAnalyze|BenchmarkRunAnalyze' -benchmem -run '^$$' ./internal/core | $(GO) run ./cmd/benchjson > BENCH_analyze.json
-	$(GO) test -bench 'BenchmarkSparsityMax' -benchmem -run '^$$' -timeout 30m ./internal/tomo | $(GO) run ./cmd/benchjson > BENCH_tomo.json
-	$(GO) test -bench 'BenchmarkFleet' -benchmem -run '^$$' ./internal/fleet | $(GO) run ./cmd/benchjson > BENCH_fleet.json
 
 # Regenerate every figure's data series into ./figures (laptop scale, 2 h).
 figures:

@@ -55,6 +55,7 @@ func main() {
 	cfg.Sched.Seed = *seed
 
 	if *pprofAddr != "" {
+		//dctlint:ignore gostmt dcsim -pprof's HTTP server (DESIGN.md §5): it serves runtime profiles and reads no simulation state
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "dcsim: pprof:", err)

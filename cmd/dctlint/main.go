@@ -6,9 +6,9 @@
 // a pure function of its seed; dctlint mechanically enforces the
 // invariants behind that (no map-order-dependent sinks, no wall-clock
 // reads in sim packages, no global rand, no scheduler-ordered float
-// reductions, and the three-rule parallel contract: task-derived
-// disjoint slots, fixed-order merges, per-task RNG streams). See
-// DESIGN.md, "Determinism".
+// reductions) and keeps every goroutine a reviewed decision: gostmt
+// fails on a go statement that no ignore directive naming gostmt
+// registers with a reason. See DESIGN.md, "Determinism".
 //
 // Usage:
 //

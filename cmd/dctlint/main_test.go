@@ -7,11 +7,11 @@ func TestAnnotationFormat(t *testing.T) {
 		File:     "internal/core/report.go",
 		Line:     42,
 		Column:   7,
-		Analyzer: "sharedslot",
-		Message:  "captured total is written by every instance of this task closure",
+		Analyzer: "gostmt",
+		Message:  "unregistered go statement",
 	}
 	want := "::error file=internal/core/report.go,line=42,col=7," +
-		"title=dctlint/sharedslot::captured total is written by every instance of this task closure"
+		"title=dctlint/gostmt::unregistered go statement"
 	if got := annotation(f); got != want {
 		t.Errorf("annotation:\n got %q\nwant %q", got, want)
 	}

@@ -169,14 +169,15 @@ func WithStreamProgress(fn func(StreamProgress)) AnalyzeOption {
 // to analyzing a written-out trace of the same run.
 //
 // The §2 compression measurement starts here and runs alongside the
-// sweep; a failed analysis stops it before returning.
-func AnalyzeRun(ctx context.Context, rr *RunResult, opts ...AnalyzeOption) (*Report, error) {
+// sweep; every exit without a report, a panic included, stops it.
+func AnalyzeRun(ctx context.Context, rr *RunResult, opts ...AnalyzeOption) (rep *Report, err error) {
 	rr.Collector.StartCompressionMeter()
-	rep, err := AnalyzeSource(ctx, rr.Source(), append([]AnalyzeOption{WithRun(rr)}, opts...)...)
-	if err != nil {
-		rr.Collector.StopCompressionMeter()
-	}
-	return rep, err
+	defer func() {
+		if rep == nil {
+			rr.Collector.StopCompressionMeter()
+		}
+	}()
+	return AnalyzeSource(ctx, rr.Source(), append([]AnalyzeOption{WithRun(rr)}, opts...)...)
 }
 
 // maxSweepTime seals the window view after the source drains.

@@ -36,9 +36,9 @@ func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
 // Options: analysis options apply as in AnalyzeSource; WithRunOptions
 // forwards simulator options. A simulator error (cancellation at a
 // batch boundary, a failed metrics sink) is what RunAnalyze returns; an
-// analysis error stops the run where it stands. Either way the meter
-// is joined before RunAnalyze returns.
-func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*RunResult, *Report, error) {
+// analysis error stops the run where it stands. Either way, and on a
+// panic too, the meter is joined before RunAnalyze returns.
+func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (rr *RunResult, rep *Report, err error) {
 	// Pre-scan the options for the run-side knobs (the scan writes the
 	// analyze knobs into a throwaway config; AnalyzeSource re-applies
 	// everything itself).
@@ -63,12 +63,16 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*Run
 	// The §2 compression meter consumes records as the simulator
 	// completes them; the analysis joins it when it merges the figures.
 	p.rr.Collector.StartCompressionMeter()
+	defer func() {
+		if rep == nil {
+			p.rr.Collector.StopCompressionMeter()
+		}
+	}()
 
 	analyzeOpts := append([]AnalyzeOption{WithRun(p.rr)}, opts...)
 	analyzeOpts = append(analyzeOpts, withLiveSource(live))
-	rep, err := AnalyzeSource(ctx, live, analyzeOpts...)
+	rep, err = AnalyzeSource(ctx, live, analyzeOpts...)
 	if err != nil {
-		p.rr.Collector.StopCompressionMeter()
 		if simErr != nil {
 			return nil, nil, simErr
 		}

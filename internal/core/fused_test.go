@@ -181,6 +181,38 @@ func TestRunAnalyzeSimulatorError(t *testing.T) {
 	settleGoroutines(t, "RunAnalyze with a failing metrics sink", base)
 }
 
+// TestRunAnalyzePanicStopsMeter: a panic inside the analysis unwinds
+// RunAnalyze and AnalyzeRun with the compression meter joined, so a
+// caller that recovers it (the fleet does, per run) is left with no
+// goroutine of the run's.
+func TestRunAnalyzePanicStopsMeter(t *testing.T) {
+	cfg := fusedTestConfig(1)
+	cfg.Duration = 10 * time.Minute
+	base := runtime.NumGoroutine()
+	boom := WithStreamProgress(func(StreamProgress) { panic("injected") })
+
+	mustPanic(t, "RunAnalyze", func() { RunAnalyze(context.Background(), cfg, boom) })
+	settleGoroutines(t, "RunAnalyze after a recovered panic", base)
+
+	rr, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "AnalyzeRun", func() { AnalyzeRun(context.Background(), rr, boom) })
+	settleGoroutines(t, "AnalyzeRun after a recovered panic", base)
+}
+
+// mustPanic runs fn and fails unless it panics with "injected".
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != "injected" {
+			t.Fatalf("%s: recovered %v, want the injected panic", what, r)
+		}
+	}()
+	fn()
+}
+
 // settleGoroutines waits for the goroutine count to fall back to base,
 // failing with every goroutine's stack if it does not.
 func settleGoroutines(t *testing.T, what string, base int) {

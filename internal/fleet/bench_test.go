@@ -7,8 +7,8 @@ import (
 	"dctraffic/internal/core"
 )
 
-// benchSpecs is the BENCH_fleet.json workload: the three-config sweep
-// the determinism test uses (two fabrics, two seeds). The pair below
+// benchSpecs is the three-config sweep the determinism test uses (two
+// fabrics, two seeds). The pair below
 // measures fleet overlap against the same configs run back to back —
 // on a single-proc box the two are expected to tie (see EXPERIMENTS.md
 // "Runtime"); with cores to spare the fleet run overlaps whole

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"dctraffic/internal/core"
@@ -72,7 +73,7 @@ type RunOutcome struct {
 
 	Report *core.Report
 	Digest string // core.ReportDigest of Report; "" on error
-	Err    error
+	Err    error  // a recovered panic carries its stack
 
 	WallSeconds  float64
 	EstMB        int   // the admission estimate charged for this run
@@ -102,11 +103,12 @@ type Result struct {
 
 // Execute runs every spec's fused RunAnalyze pipeline under the
 // concurrency cap and the memory-budget gate, and returns the
-// config-order merge. Per-run failures (including cancellation) land in
-// their outcome's Err and count toward Result.Failed; Execute itself
-// errors only on internal merge failure. Per-run reports are
-// bit-identical to standalone core.RunAnalyze at any concurrency or
-// budget — see the package contract.
+// config-order merge. Per-run failures (including cancellation, and
+// panics, recovered with their stack) land in their outcome's Err and
+// count toward Result.Failed; Execute itself errors only on internal
+// merge failure. Per-run reports are bit-identical to standalone
+// core.RunAnalyze at any concurrency or budget — see the package
+// contract.
 func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error) {
 	conc := opts.Concurrency
 	if conc <= 0 {
@@ -140,6 +142,7 @@ func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error
 		sem <- struct{}{}      // concurrency admission, config order
 		w := gate.acquire(est) // memory admission, config order
 		wg.Add(1)
+		//dctlint:ignore gostmt one per admitted run (DESIGN.md §5): the run reads only its own state and the immutable cached topology, writes only outcomes[i], a panic fails only that outcome, and the merge below runs in config order after wg.Wait
 		go func(i int, sp RunSpec, est int, waited bool) {
 			defer wg.Done()
 			defer func() { gate.release(est); <-sem }()
@@ -192,12 +195,20 @@ func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error
 
 // executeOne runs one spec's pipeline with the cached topology
 // injected. Everything it touches is run-local except the topology
-// (immutable).
+// (immutable), so a panic fails this run alone: it becomes the
+// outcome's Err, with the stack, and the other runs go on.
 func executeOne(ctx context.Context, i int, sp RunSpec, cache *topoCache, opts Options) (out RunOutcome) {
 	out = RunOutcome{Index: i, Name: specName(i, sp), Config: sp.Config}
 	sw := obs.NewStopwatch()
-	// Named return: the deferred stamp lands in the returned value.
+	// Named return: the deferred stamp and the recovered panic land in
+	// the returned value.
 	defer func() { out.WallSeconds = sw.Elapsed().Seconds() }()
+	defer func() {
+		if r := recover(); r != nil {
+			out.Report, out.Digest = nil, ""
+			out.Err = fmt.Errorf("fleet: run %d (%s): panic: %v\n%s", i, out.Name, r, debug.Stack())
+		}
+	}()
 
 	runReg := obs.NewRegistry()
 	aReg := obs.NewRegistry()

@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,8 +233,8 @@ func TestEstimatePeakMBDeterministicAndMonotone(t *testing.T) {
 // TestFleetFailedAnalysisLeavesNoGoroutine: a run whose analysis fails
 // mid-sweep (its context is canceled from the analysis progress hook)
 // fails alone in its outcome, and the executor returns with every
-// goroutine it started joined — each run's own, its simulator and its
-// compression meter.
+// goroutine it started joined — each run's own and its compression
+// meter.
 func TestFleetFailedAnalysisLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -252,6 +254,66 @@ func TestFleetFailedAnalysisLeavesNoGoroutine(t *testing.T) {
 	if res.Failed != 1 || res.Outcomes[0].Err == nil {
 		t.Fatalf("Failed = %d, outcome err %v; want the run to fail", res.Failed, res.Outcomes[0].Err)
 	}
+	settleGoroutines(t, base)
+}
+
+// TestFleetIsolatesRunPanic: a panic in one run fails that run alone.
+// Its outcome carries the panic and the stack, the other runs finish
+// with their standalone digests, and every goroutine the sweep started
+// is joined, the panicked run's compression meter included.
+func TestFleetIsolatesRunPanic(t *testing.T) {
+	specs := testSpecs()
+	want := make([]string, len(specs))
+	for i, sp := range specs[1:] {
+		_, rep, err := core.RunAnalyze(context.Background(), sp.Config)
+		if err != nil {
+			t.Fatalf("standalone %s: %v", sp.Name, err)
+		}
+		if want[i+1], err = core.ReportDigest(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := runtime.NumGoroutine()
+	// Concurrency 1 runs the specs in order, so the first progress
+	// call, the one that panics, is run 0's.
+	var fired atomic.Bool
+	res, err := Execute(context.Background(), specs, Options{
+		Concurrency: 1,
+		MaxHeapMB:   -1,
+		AnalyzeOpts: []core.AnalyzeOption{core.WithStreamProgress(func(core.StreamProgress) {
+			if !fired.Swap(true) {
+				panic("injected")
+			}
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != 1 {
+		t.Fatalf("Failed = %d, want 1: %+v", res.Failed, res.Outcomes)
+	}
+	o := res.Outcomes[0]
+	if o.Err == nil || !strings.Contains(o.Err.Error(), "panic: injected") {
+		t.Fatalf("run 0 error %v, want the injected panic", o.Err)
+	}
+	if !strings.Contains(o.Err.Error(), "executeOne") {
+		t.Fatalf("run 0 error carries no stack:\n%v", o.Err)
+	}
+	if o.Report != nil || o.Digest != "" {
+		t.Fatalf("panicked run kept report %v and digest %q", o.Report != nil, o.Digest)
+	}
+	for i, o := range res.Outcomes[1:] {
+		if o.Err != nil || o.Digest != want[i+1] {
+			t.Fatalf("run %s: err %v, digest %s, want standalone %s", o.Name, o.Err, o.Digest, want[i+1])
+		}
+	}
+	settleGoroutines(t, base)
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base,
+// failing with every goroutine's stack if it does not.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)

@@ -7,10 +7,9 @@
 // byte-identical trace on every run, on every machine, at every
 // GOMAXPROCS. The analyzers in this package mechanically enforce the
 // invariants that keep that true: per-statement checks (mapiter,
-// walltime, globalrand) and dataflow-aware checks of the three-rule
-// parallel contract (floatsum, sharedslot, mergeorder, rngshare) built
-// on the goroutine-context tracker in goctx.go and the must-hold lock
-// analysis in cfg.go. See DESIGN.md, "Determinism".
+// walltime, globalrand), floatsum's check of float reductions inside
+// goroutine bodies and over channels, and gostmt, which makes every go
+// statement a registered, reviewed site. See DESIGN.md, "Determinism".
 //
 // The framework mirrors go/analysis deliberately — Analyzer has the same
 // Name/Doc/Run shape, Pass carries the same per-package state — so that
@@ -74,5 +73,5 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full dctlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapIter, WallTime, GlobalRand, FloatSum, SharedSlot, MergeOrder, RNGShare}
+	return []*Analyzer{MapIter, WallTime, GlobalRand, FloatSum, GoStmt}
 }

@@ -11,9 +11,7 @@ func TestMapIter(t *testing.T)    { linttest.Run(t, "testdata/mapiter", lint.Map
 func TestWallTime(t *testing.T)   { linttest.Run(t, "testdata/walltime", lint.WallTime) }
 func TestGlobalRand(t *testing.T) { linttest.Run(t, "testdata/globalrand", lint.GlobalRand) }
 func TestFloatSum(t *testing.T)   { linttest.Run(t, "testdata/floatsum", lint.FloatSum) }
-func TestSharedSlot(t *testing.T) { linttest.Run(t, "testdata/sharedslot", lint.SharedSlot) }
-func TestMergeOrder(t *testing.T) { linttest.Run(t, "testdata/mergeorder", lint.MergeOrder) }
-func TestRNGShare(t *testing.T)   { linttest.Run(t, "testdata/rngshare", lint.RNGShare) }
+func TestGoStmt(t *testing.T)     { linttest.Run(t, "testdata/gostmt", lint.GoStmt) }
 
 // The tier-1 acceptance guard: the tree itself must be clean under the
 // full suite, with each analyzer's AppliesTo gate honoured — exactly

@@ -6,12 +6,11 @@ import (
 	"dctraffic/internal/lint"
 )
 
-// BenchmarkRunPackage times the analyzer suite — including the CFG,
-// capture, and goroutine-context dataflow layers — over the whole
-// module, with loading and type-checking hoisted out of the loop. This
-// is the analysis cost `make lint` adds on top of `go list` + type
-// checking; the dataflow layers are expected to keep it within ~2x of
-// the pre-dataflow suite.
+// BenchmarkRunPackage times the analyzer suite (the per-statement
+// checks, floatsum's walk of each go statement's body, and gostmt) over
+// the whole module, with loading and type-checking hoisted out of the
+// loop. This is the analysis cost `make lint` adds on top of `go list`
+// and type-checking, which dominate the command's wall clock.
 func BenchmarkRunPackage(b *testing.B) {
 	pkgs, err := lint.Load("../..", "./...")
 	if err != nil {

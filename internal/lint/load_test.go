@@ -125,8 +125,7 @@ var _ = p.Double
 	}
 
 	// The seeded violation lives in the build-tagged file: the analyzers
-	// (including the dataflow layers) must see exactly what the build
-	// context sees.
+	// must see exactly what the build context sees.
 	diags, err := lint.RunPackage(main, lint.Analyzers())
 	if err != nil {
 		t.Fatal(err)

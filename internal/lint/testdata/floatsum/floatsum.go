@@ -240,67 +240,55 @@ func singleWriterFixedSlotOK(ps []float64) float64 {
 	return partial[0]
 }
 
-// Pool plumbing for the task-closure cases below, mirroring
-// internal/core/parallel.go's runTasks.
-type task struct {
-	name string
-	fn   func()
+// meter mirrors the §2 compression meter's shape: methods launched by
+// name, each on a goroutine of its own.
+type meter struct {
+	total float64
+	parts []float64
+	ratio float64
 }
 
-func runTasks(workers int, tasks []task) {
-	var wg sync.WaitGroup
-	claimed := make(chan int, len(tasks))
-	for i := range tasks {
-		claimed <- i
+// sum adds into its receiver, which every launch shares: the launch
+// site names no captured variable, but the body's receiver is outside
+// it.
+func (m *meter) sum(vs []float64) {
+	for _, v := range vs {
+		m.total += v // want "floating-point accumulation into captured m"
 	}
-	close(claimed)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range claimed {
-				tasks[i].fn()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
-// taskClosureSumNotOK regresses the second former false negative: the
-// old analyzer only looked inside `go func(){...}` literals, so a
-// shared accumulator inside a pool-fed task closure slipped through.
-func taskClosureSumNotOK(parts [][]float64) float64 {
-	total := 0.0
-	var tasks []task
-	for _, p := range parts {
-		p := p
-		tasks = append(tasks, task{"sum", func() {
-			for _, v := range p {
-				total += v // want "floating-point accumulation into captured total"
-			}
-		}})
+// fill adds only into the slot its own parameter indexes.
+func (m *meter) fill(i int, vs []float64) {
+	for _, v := range vs {
+		m.parts[i] += v
 	}
-	runTasks(4, tasks)
-	return total
 }
 
-// taskClosureSlotsOK: per-task slots written through the task's own
-// index stay clean under the same tracking.
-func taskClosureSlotsOK(parts [][]float64) float64 {
-	partial := make([]float64, len(parts))
-	var tasks []task
-	for j, p := range parts {
-		j, p := j, p
-		tasks = append(tasks, task{"slot", func() {
-			for _, v := range p {
-				partial[j] += v
-			}
-		}})
+// measure keeps a local partial and publishes it once.
+func (m *meter) measure(vs []float64, done chan<- struct{}) {
+	sum := 0.0
+	for _, v := range vs {
+		sum += v
 	}
-	runTasks(4, tasks)
-	total := 0.0
-	for _, v := range partial {
-		total += v
+	m.ratio = sum
+	close(done)
+}
+
+var grandTotal float64
+
+func addAll(vs []float64) {
+	for _, v := range vs {
+		grandTotal += v // want "floating-point accumulation into captured grandTotal"
 	}
-	return total
+}
+
+// namedLaunchesMixed launches sum twice; its finding is reported once.
+func namedLaunchesMixed(m *meter, parts [][]float64, done chan<- struct{}) {
+	go m.sum(parts[0])
+	go m.sum(parts[1])
+	for i, p := range parts {
+		go m.fill(i, p)
+		go addAll(p)
+	}
+	go m.measure(parts[0], done)
 }

@@ -49,31 +49,6 @@ func declaredWithin(obj types.Object, node ast.Node) bool {
 	return node.Pos() <= obj.Pos() && obj.Pos() < node.End()
 }
 
-// pkgFunc returns the package-level function a call resolves to, or nil
-// for methods, locals, builtins, and non-functions.
-func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		if _, isSel := info.Selections[fun]; isSel {
-			return nil // method or field, not pkg.Func
-		}
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, ok := info.ObjectOf(id).(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return nil
-	}
-	return fn
-}
-
 // isPkgName reports whether id names an imported package.
 func isPkgName(info *types.Info, id *ast.Ident) bool {
 	_, ok := info.ObjectOf(id).(*types.PkgName)

@@ -139,6 +139,7 @@ func newCompressMeter() *compressMeter {
 		batches: make(chan []FlowRecord, (CompressionSample+compressBatch-1)/compressBatch),
 		done:    make(chan struct{}),
 	}
+	//dctlint:ignore gostmt the §2 compression meter, one per collector (DESIGN.md §5): it encodes the records in the order one feeder sends them, owns its encoder, and its ratio is read only after done closes
 	go m.run()
 	return m
 }
