@@ -50,14 +50,18 @@ test-short:
 # trace codec's decoders against encoding/json as the oracle (same
 # verdict, same records) and its encoder against json.Marshal byte for
 # byte; the live seam's release order against a sort.Slice copy, under
-# random watermark schedules; and the stats radix sort against the
-# sort.Slice comparator sort it replaced, bit for bit.
+# random watermark schedules; the stats radix sort against the
+# sort.Slice comparator sort it replaced, bit for bit, with and without
+# a weight column; and the unit-weight CDF store (direct, through a
+# small-cap StreamCDF and through MergeCDF) against the always-weighted
+# CDF it replaced, bit for bit up to the sign of a zero.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONLGz$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteJSONL$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzLiveSourceOrder$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSortSamples$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzCDFWeights$$' -fuzztime 10s ./internal/stats
 
 # End-to-end observability smoke test: a short SmallRun-shaped dcsim
 # with -progress and -metrics, then dcmetrics asserts the snapshot

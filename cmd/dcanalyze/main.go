@@ -60,7 +60,7 @@ func main() {
 	paper := flag.Bool("paper", false, "use the paper-scale configuration (75 racks x 20 servers, 24h)")
 	jsonOut := flag.Bool("json", false, "print the machine-readable headline digest instead of the text report")
 	progress := flag.Bool("progress", false, "report simulation progress, per-stage analysis timings and tomography solver effort on stderr")
-	memProfile := flag.String("mem-profile", "", "write a heap profile captured at the peak buffered-record window")
+	memProfile := flag.String("mem-profile", "", "write a heap profile captured at the largest live heap sampled as records arrive")
 	maxHeapMB := flag.Int("max-heap-mb", 0, "exit nonzero if the peak live heap exceeds this many MiB (0 = no check)")
 	flag.Parse()
 
@@ -254,15 +254,19 @@ func analyzeTrace(path string, racks, servers int, duration time.Duration, aopts
 }
 
 // heapWatch samples the live heap as the sweep's buffered-record count
-// grows, capturing a heap profile at the high-water mark. Sampling only
-// on ~10% peak growth keeps the ReadMemStats/GC cost to O(log peak)
-// stops, not one per window boundary.
+// or its delivered-record count grows, capturing a heap profile at the
+// high-water mark. The buffered peak stops growing early in a long
+// trace while the whole-run CDFs keep growing with every record, so
+// either count's ~10% growth takes a sample. That keeps the
+// ReadMemStats/GC cost to O(log records) stops, not one per window
+// boundary.
 type heapWatch struct {
-	profilePath  string
-	verbose      bool
-	sampledPeak  int
-	peakHeap     uint64
-	lastProgress time.Time
+	profilePath    string
+	verbose        bool
+	sampledPeak    int
+	sampledRecords int64
+	peakHeap       uint64
+	lastProgress   time.Time
 }
 
 func (h *heapWatch) observe(p dctraffic.StreamProgress) {
@@ -278,10 +282,10 @@ func (h *heapWatch) observe(p dctraffic.StreamProgress) {
 		fmt.Fprintf(os.Stderr, "\ranalyze %3.0f%%  records=%d  buffered=%d  peak=%d",
 			pct, p.Records, p.Buffered, p.PeakBuffered)
 	}
-	if p.PeakBuffered <= h.sampledPeak+h.sampledPeak/10 {
+	if p.PeakBuffered <= h.sampledPeak+h.sampledPeak/10 && p.Records <= h.sampledRecords+h.sampledRecords/10 {
 		return
 	}
-	h.sampledPeak = p.PeakBuffered
+	h.sampledPeak, h.sampledRecords = p.PeakBuffered, p.Records
 	h.sample()
 }
 

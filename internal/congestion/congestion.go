@@ -195,9 +195,9 @@ func OverlapRateCDFs(records []trace.FlowRecord, eps []Episode, top *topology.To
 }
 
 // OverlapRateCDFsIndexed is OverlapRateCDFs against a prebuilt episode
-// index, for callers that join several record shards with one index:
-// compute per-shard CDFs concurrently, then stats.CDF.Merge them in
-// shard order.
+// index, for callers that join several record chunks with one index:
+// build each chunk's CDFs, then fold them into a stats.StreamCDF with
+// MergeCDF in chunk order.
 func OverlapRateCDFsIndexed(records []trace.FlowRecord, idx *EpisodeIndex, top *topology.Topology) (overlap, all *stats.CDF) {
 	overlap, all = &stats.CDF{}, &stats.CDF{}
 	for _, r := range records {

@@ -12,7 +12,7 @@ import (
 // (queries sort lazily).
 type CDF struct {
 	xs     []float64
-	ws     []float64 // optional weights, parallel to xs; nil means weight 1
+	ws     []float64 // weights, parallel to xs; nil means every weight is 1
 	sorted bool
 	totalW float64
 }
@@ -34,6 +34,10 @@ func (c *CDF) Add(x float64) { c.AddWeighted(x, 1) }
 // CDFs express "fraction of bytes" style distributions (e.g. Figure 9's
 // bytes-weighted flow-duration CDF). A negative or NaN weight, or a NaN
 // sample, panics: NaN has no place in the canonical order.
+//
+// A CDF whose every weight is 1 stores x alone, 8 bytes a sample. The
+// first weight other than 1 creates the weight column, filled with 1
+// for the samples before it.
 func (c *CDF) AddWeighted(x, w float64) {
 	if w < 0 || math.IsNaN(w) {
 		panic("stats: negative or NaN CDF weight")
@@ -41,39 +45,44 @@ func (c *CDF) AddWeighted(x, w float64) {
 	if math.IsNaN(x) {
 		panic("stats: NaN CDF sample")
 	}
+	if c.ws == nil && w != 1 {
+		c.ws = make([]float64, len(c.xs), cap(c.xs))
+		for i := range c.ws {
+			c.ws[i] = 1
+		}
+	}
 	c.xs = append(c.xs, x)
-	c.ws = append(c.ws, w)
+	if c.ws != nil {
+		c.ws = append(c.ws, w)
+	}
 	c.totalW += w
 	c.sorted = false
 }
 
 // Grow pre-allocates capacity for n additional samples, saving the
 // append-regrowth copies when the caller knows the sample count up
-// front (e.g. one CDF sample per record in a shard).
+// front (e.g. one CDF sample per record in a shard). The weight column
+// is reserved only once it exists.
 func (c *CDF) Grow(n int) {
 	if n <= 0 || len(c.xs)+n <= cap(c.xs) {
 		return
 	}
 	xs := make([]float64, len(c.xs), len(c.xs)+n)
-	ws := make([]float64, len(c.ws), len(c.ws)+n)
 	copy(xs, c.xs)
-	copy(ws, c.ws)
-	c.xs, c.ws = xs, ws
+	c.xs = xs
+	if c.ws != nil {
+		ws := make([]float64, len(c.ws), len(c.ws)+n)
+		copy(ws, c.ws)
+		c.ws = ws
+	}
 }
 
-// Merge appends every sample of o, in o's insertion order. It is the
-// fixed-order reduction step of shard-and-merge CDF construction: build
-// one CDF per shard, then Merge them in shard order on a single
-// goroutine, and the combined CDF is a pure function of the shard
-// decomposition — independent of how the shards were scheduled.
-func (c *CDF) Merge(o *CDF) {
-	if o == nil || len(o.xs) == 0 {
-		return
+// weight returns sample i's weight: 1 when the CDF has no weight column.
+func (c *CDF) weight(i int) float64 {
+	if c.ws == nil {
+		return 1
 	}
-	c.xs = append(c.xs, o.xs...)
-	c.ws = append(c.ws, o.ws...)
-	c.totalW += o.totalW
-	c.sorted = false
+	return c.ws[i]
 }
 
 // N reports the number of samples.
@@ -92,16 +101,24 @@ func (c *CDF) TotalWeight() float64 {
 // of the weighted sample multiset: two CDFs holding the same samples
 // answer identically no matter how the samples were sharded, chunked
 // or merge-ordered on the way in. (Insertion order only matters before
-// the first query.)
+// the first query.) A unit CDF's total is its sample count, which is
+// what summing that many ones gives, bit for bit, below 2⁵³ samples.
 func (c *CDF) ensureSorted() {
 	if c.sorted {
 		return
 	}
-	xs, ws := make([]float64, len(c.xs)), make([]float64, len(c.ws))
+	xs := make([]float64, len(c.xs))
+	var ws []float64
+	if c.ws != nil {
+		ws = make([]float64, len(c.ws))
+	}
 	sortSamples(xs, ws, c.xs, c.ws)
-	totalW := 0.0
-	for _, w := range ws {
-		totalW += w
+	totalW := float64(len(xs))
+	if ws != nil {
+		totalW = 0
+		for _, w := range ws {
+			totalW += w
+		}
 	}
 	c.xs, c.ws = xs, ws
 	c.totalW = totalW
@@ -119,10 +136,10 @@ func (c *CDF) P(x float64) float64 {
 	// Advance over ties equal to x (SearchFloat64s gives first >= x).
 	w := 0.0
 	for j := 0; j < i; j++ {
-		w += c.ws[j]
+		w += c.weight(j)
 	}
 	for j := i; j < len(c.xs) && c.xs[j] == x; j++ {
-		w += c.ws[j]
+		w += c.weight(j)
 	}
 	return w / c.totalW
 }
@@ -140,7 +157,7 @@ func (c *CDF) Quantile(q float64) float64 {
 	target := q * c.totalW
 	w := 0.0
 	for i, x := range c.xs {
-		w += c.ws[i]
+		w += c.weight(i)
 		if w >= target {
 			return x
 		}
@@ -159,15 +176,13 @@ func (c *CDF) Points(n int) []Point {
 		n = len(c.xs)
 	}
 	pts := make([]Point, 0, n)
-	cum := make([]float64, len(c.xs))
-	w := 0.0
-	for i := range c.xs {
-		w += c.ws[i]
-		cum[i] = w / c.totalW
-	}
+	w, next := 0.0, 0 // w sums the weights of samples [0, next)
 	for k := 0; k < n; k++ {
 		i := k * (len(c.xs) - 1) / max(n-1, 1)
-		pts = append(pts, Point{X: c.xs[i], Y: cum[i]})
+		for ; next <= i; next++ {
+			w += c.weight(next)
+		}
+		pts = append(pts, Point{X: c.xs[i], Y: w / c.totalW})
 	}
 	return pts
 }

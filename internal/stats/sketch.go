@@ -7,8 +7,9 @@ import (
 
 // DefaultCDFSampleCap is the number of exact samples a StreamCDF holds
 // before switching to the bounded quantile sketch. At 16 bytes per
-// weighted sample this caps each whole-run CDF near 8 MB regardless of
-// trace length; below the cap results are bit-identical to CDF.
+// weighted sample and 8 per unit-weight sample this caps each whole-run
+// CDF near 8 MB, or 4 MB when every weight is 1, regardless of trace
+// length; below the cap results are bit-identical to CDF.
 const DefaultCDFSampleCap = 1 << 19
 
 // defaultSketchBuffer is the per-level buffer size of QuantileSketch.
@@ -268,9 +269,10 @@ func (s *QuantileSketch) Points(n int) []Point {
 // StreamCDF is a CDF accumulator for unbounded record streams. Below
 // cap samples it is an exact CDF — queries bit-identical to CDF — and
 // on the insertion that would exceed cap it converts to a
-// QuantileSketch, replaying the exact samples in insertion order so the
-// conversion, like everything else here, is a pure function of the
-// input sequence. cap <= 0 means never sketch (fully exact).
+// QuantileSketch, replaying the exact samples in insertion order (in
+// canonical order if it was queried below the cap) so the conversion,
+// like everything else here, is a pure function of the input sequence
+// and its queries. cap <= 0 means never sketch (fully exact).
 //
 // It intentionally offers no Merge-with-StreamCDF: whole-run streaming
 // statistics are accumulated on one goroutine in canonical record
@@ -315,21 +317,22 @@ func (c *StreamCDF) AddWeighted(x, w float64) {
 // order, and drops the exact copy.
 func (c *StreamCDF) convert() {
 	sk := NewQuantileSketch(0)
-	for i := range c.exact.xs {
-		sk.Add(c.exact.xs[i], c.exact.ws[i])
+	for i, x := range c.exact.xs {
+		sk.Add(x, c.exact.weight(i))
 	}
 	c.sk = sk
 	c.exact = nil
 }
 
-// MergeCDF appends every sample of an exact CDF in its insertion order.
-// Used to fold shard-built CDFs into a stream accumulator in slot order.
+// MergeCDF appends every sample of an exact CDF: in its insertion order
+// until o is first queried, in its canonical order after. Used to fold
+// chunk-built CDFs into a stream accumulator in chunk order.
 func (c *StreamCDF) MergeCDF(o *CDF) {
 	if o == nil {
 		return
 	}
-	for i := range o.xs {
-		c.AddWeighted(o.xs[i], o.ws[i])
+	for i, x := range o.xs {
+		c.AddWeighted(x, o.weight(i))
 	}
 }
 

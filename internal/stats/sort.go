@@ -24,7 +24,8 @@ func sortKey(f float64) uint64 {
 // a pass whose digit is the same for every sample is skipped (unit
 // weights skip all eight w passes). The passes alternate between the
 // two pairs of slices, so xs and ws are clobbered; all four slices have
-// the same length.
+// the same length. A nil weight column means every weight is 1: ws and
+// dw are then both nil, and the sweep and the passes touch x alone.
 //
 // For NaN-free input the order is the comparator's "x < x', or x == x'
 // and w < w'" on every key, and samples with equal keys are equal under
@@ -44,15 +45,7 @@ func sortSamples(dx, dw, xs, ws []float64) {
 	// slower.
 	var counts [16][256]int
 	for i, x := range xs {
-		kw, kx := sortKey(ws[i]), sortKey(x)
-		counts[0][byte(kw)]++
-		counts[1][byte(kw>>8)]++
-		counts[2][byte(kw>>16)]++
-		counts[3][byte(kw>>24)]++
-		counts[4][byte(kw>>32)]++
-		counts[5][byte(kw>>40)]++
-		counts[6][byte(kw>>48)]++
-		counts[7][byte(kw>>56)]++
+		kx := sortKey(x)
 		counts[8][byte(kx)]++
 		counts[9][byte(kx>>8)]++
 		counts[10][byte(kx>>16)]++
@@ -61,10 +54,29 @@ func sortSamples(dx, dw, xs, ws []float64) {
 		counts[13][byte(kx>>40)]++
 		counts[14][byte(kx>>48)]++
 		counts[15][byte(kx>>56)]++
+		if ws == nil {
+			continue
+		}
+		kw := sortKey(ws[i])
+		counts[0][byte(kw)]++
+		counts[1][byte(kw>>8)]++
+		counts[2][byte(kw>>16)]++
+		counts[3][byte(kw>>24)]++
+		counts[4][byte(kw>>32)]++
+		counts[5][byte(kw>>40)]++
+		counts[6][byte(kw>>48)]++
+		counts[7][byte(kw>>56)]++
 	}
 	fx, fw, tx, tw := xs, ws, dx, dw
-	kw0, kx0 := sortKey(ws[0]), sortKey(xs[0])
+	kx0 := sortKey(xs[0])
+	var kw0 uint64
+	if ws != nil {
+		kw0 = sortKey(ws[0])
+	}
 	for p := range counts {
+		if p < 8 && ws == nil {
+			continue
+		}
 		shift := 8 * uint(p%8)
 		k0 := kw0
 		if p >= 8 {
@@ -79,14 +91,21 @@ func sortSamples(dx, dw, xs, ws []float64) {
 			c[d] = off
 			off += cnt
 		}
-		if p < 8 {
+		switch {
+		case p < 8:
 			for i, w := range fw {
 				d := byte(sortKey(w) >> shift)
 				j := c[d]
 				tx[j], tw[j] = fx[i], w
 				c[d]++
 			}
-		} else {
+		case fw == nil:
+			for _, x := range fx {
+				d := byte(sortKey(x) >> shift)
+				tx[c[d]] = x
+				c[d]++
+			}
+		default:
 			for i, x := range fx {
 				d := byte(sortKey(x) >> shift)
 				j := c[d]

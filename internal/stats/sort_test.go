@@ -47,18 +47,17 @@ func sameBits(a, b sketchSample) bool {
 // oracle is unstable, so it may permute equal-key samples such as
 // (−0, 1) and (+0, 1).
 func sameUpToZeroSign(a, b sketchSample) bool {
-	sameF := func(p, q float64) bool {
-		return math.Float64bits(p) == math.Float64bits(q) || (p == 0 && q == 0)
-	}
-	return sameF(a.x, b.x) && sameF(a.w, b.w)
+	return sameUpToSign(a.x, b.x) && sameUpToSign(a.w, b.w)
 }
 
 // checkSortSamples sorts in with sortSamples and requires, on every x
 // and w: equality with the oracle up to the sign of a zero, and
 // bit-for-bit equality with a stable sort by the oracle's comparator
-// (equal-key samples keep their input order).
+// (equal-key samples keep their input order). It then sorts in's x
+// column alone through checkSortXs.
 func checkSortSamples(t *testing.T, in []sketchSample) {
 	t.Helper()
+	checkSortXs(t, in)
 	got := kernelSort(in)
 	want := append([]sketchSample(nil), in...)
 	sortSamplesOracle(want)
@@ -79,6 +78,27 @@ func checkSortSamples(t *testing.T, in []sketchSample) {
 			t.Fatalf("n=%d: [%d] = (%v, %v) [%#x, %#x], stable oracle (%v, %v) [%#x, %#x]",
 				len(in), i, got[i].x, got[i].w, math.Float64bits(got[i].x), math.Float64bits(got[i].w),
 				stable[i].x, stable[i].w, math.Float64bits(stable[i].x), math.Float64bits(stable[i].w))
+		}
+	}
+}
+
+// checkSortXs sorts the x column of in with a nil weight column, as a
+// unit-weight CDF does, and requires it bit for bit equal to a stable
+// sort of the xs by value.
+func checkSortXs(t *testing.T, in []sketchSample) {
+	t.Helper()
+	xs := make([]float64, len(in))
+	for i, v := range in {
+		xs[i] = v.x
+	}
+	want := append([]float64(nil), xs...)
+	sort.SliceStable(want, func(a, b int) bool { return want[a] < want[b] })
+	got := make([]float64, len(xs))
+	sortSamples(got, nil, xs, nil)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("n=%d, nil weights: [%d] = %v [%#x], stable sort %v [%#x]",
+				len(in), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
@@ -204,9 +224,11 @@ func TestSortSamplesNaNPlacement(t *testing.T) {
 }
 
 // FuzzSortSamples compares the kernel with the oracle on arbitrary
-// NaN-free samples. An odd first byte draws each sample's x and w from
-// specials (ties, ±0, ±Inf, subnormals), one byte per sample; otherwise
-// every 16 bytes are the raw bits of x and w, and NaNs are dropped.
+// NaN-free samples, and its x column alone with a nil weight column
+// against a stable sort (checkSortSamples). An odd first byte draws
+// each sample's x and w from specials (ties, ±0, ±Inf, subnormals), one
+// byte per sample; otherwise every 16 bytes are the raw bits of x and
+// w, and NaNs are dropped.
 // Inputs stop at fuzzMaxSamples samples, which keeps each execution
 // short; TestSortSamplesMatchesOracle covers longer slices.
 func FuzzSortSamples(f *testing.F) {
