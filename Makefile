@@ -48,13 +48,16 @@ test-short:
 
 # The fuzz targets, 10 s each (-fuzz takes one target per run): the
 # trace codec's decoders against encoding/json as the oracle (same
-# verdict, same records) and its encoder against json.Marshal byte for
-# byte; the live seam's release order against a sort.Slice copy, under
-# random watermark schedules; the stats radix sort against the
-# sort.Slice comparator sort it replaced, bit for bit, with and without
-# a weight column; and the unit-weight CDF store (direct, through a
-# small-cap StreamCDF and through MergeCDF) against the always-weighted
-# CDF it replaced, bit for bit up to the sign of a zero.
+# verdict, same records; the .gz target writes each input to a file and
+# drains it through trace.OpenFile, the path dcanalyze -trace runs, so
+# it compares records as sorted multisets) and its encoder against
+# json.Marshal byte for byte; the live seam's release order against a
+# sort.Slice copy, under random watermark schedules; the stats radix
+# sort against the sort.Slice comparator sort it replaced, bit for bit,
+# with and without a weight column; and the unit-weight CDF store
+# (direct, through a small-cap StreamCDF and through MergeCDF) against
+# the always-weighted CDF it replaced, bit for bit up to the sign of a
+# zero.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONLGz$$' -fuzztime 10s ./internal/trace

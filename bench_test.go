@@ -1,13 +1,18 @@
 package dctraffic
 
 // One benchmark per table/figure of the paper (see DESIGN.md §3). Each
-// bench regenerates its figure's data from a shared simulated run and
-// reports the headline value as a custom metric, so `go test -bench .`
-// doubles as the experiment harness. Ablation benches at the bottom rerun
-// scaled-down simulations with one design decision removed.
+// bench times the analysis code behind its figure on a shared simulated
+// run and reports the figure's headline value as a custom metric, so
+// `go test -bench .` doubles as the experiment harness. The record-level
+// benches (Figures 7, 9, 10, 11 and §4.4) feed the canonical-order
+// records through the code AnalyzeSource runs and fail if the value
+// they compute differs from the report's. Ablation benches at the
+// bottom rerun scaled-down simulations with one design decision removed.
 
 import (
 	"context"
+	"io"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +25,7 @@ import (
 	"dctraffic/internal/te"
 	"dctraffic/internal/tm"
 	"dctraffic/internal/tomo"
+	"dctraffic/internal/trace"
 )
 
 var (
@@ -48,6 +54,34 @@ func benchSetup(b *testing.B) (*core.RunResult, *core.Report) {
 	})
 	b.ResetTimer()
 	return benchRun, benchRep
+}
+
+// canonicalRecords drains the run's records in the canonical (Start, ID)
+// order AnalyzeSource sweeps them in.
+func canonicalRecords(b *testing.B, rr *core.RunResult) []trace.FlowRecord {
+	b.Helper()
+	var out []trace.FlowRecord
+	src := rr.Source()
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, r)
+	}
+}
+
+// sameMetric reports got under unit, failing b unless it equals the
+// report's value bit for bit.
+func sameMetric(b *testing.B, got, report float64, unit string) {
+	b.Helper()
+	if math.Float64bits(got) != math.Float64bits(report) {
+		b.Fatalf("%s = %v, report has %v", unit, got, report)
+	}
+	b.ReportMetric(got, unit)
 }
 
 func BenchmarkSec2Overhead(b *testing.B) {
@@ -123,12 +157,17 @@ func BenchmarkFig6CongestionDurations(b *testing.B) {
 
 func BenchmarkFig7CongestedFlowRates(b *testing.B) {
 	rr, rep := benchSetup(b)
-	eps := congestion.Detect(rr.Net.Stats(), rr.Top, 0, rr.Top.InterSwitchLinks())
+	recs := canonicalRecords(b, rr)
+	idx := congestion.NewEpisodeIndex(congestion.Detect(rr.Net.Stats(), rr.Top, 0, rr.Top.InterSwitchLinks()))
+	b.ResetTimer()
+	var overlap, all *stats.CDF
 	for i := 0; i < b.N; i++ {
-		_, _ = congestion.OverlapRateCDFs(rr.Records(), eps, rr.Top)
+		overlap, all = congestion.OverlapRateCDFsIndexed(recs, idx, rr.Top)
 	}
-	b.ReportMetric(rep.Fig7.MedianOverlapMbps, "median-overlap-mbps")
-	b.ReportMetric(rep.Fig7.MedianAllMbps, "median-all-mbps")
+	// Below the sample cap the report's chunk-merged CDFs are exact, so
+	// their medians equal these.
+	sameMetric(b, overlap.Quantile(0.5), rep.Fig7.MedianOverlapMbps, "median-overlap-mbps")
+	sameMetric(b, all.Quantile(0.5), rep.Fig7.MedianAllMbps, "median-all-mbps")
 }
 
 func BenchmarkFig8ReadFailureImpact(b *testing.B) {
@@ -143,30 +182,72 @@ func BenchmarkFig8ReadFailureImpact(b *testing.B) {
 
 func BenchmarkFig9FlowDurations(b *testing.B) {
 	rr, rep := benchSetup(b)
+	recs := canonicalRecords(b, rr)
+	b.ResetTimer()
+	var st *flows.SummaryTracker
 	for i := 0; i < b.N; i++ {
-		_, _ = flows.DurationCDFs(rr.Records())
+		st = flows.NewSummaryTracker(rr.Config.Duration, 0)
+		for j := range recs {
+			st.Observe(&recs[j])
+		}
 	}
-	b.ReportMetric(rep.Fig9.Summary.FracShorterThan10s, "frac-under-10s")
-	b.ReportMetric(rep.Fig9.Summary.BytesInFlowsUnder25s, "bytes-under-25s")
+	s := st.Summary()
+	sameMetric(b, s.FracShorterThan10s, rep.Fig9.Summary.FracShorterThan10s, "frac-under-10s")
+	sameMetric(b, s.BytesInFlowsUnder25s, rep.Fig9.Summary.BytesInFlowsUnder25s, "bytes-under-25s")
 }
 
 func BenchmarkFig10TrafficChange(b *testing.B) {
 	rr, rep := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		series := tm.ServerSeries(rr.Records(), rr.Top.NumHosts(), 10*time.Second, rr.Config.Duration)
-		_ = tm.ChangeSeries(series, 1)
+	bin, duration := rep.Fig10.Bin, rr.Config.Duration
+	wv := trace.NewWindowView()
+	for _, r := range canonicalRecords(b, rr) {
+		if err := wv.Append(r); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(rep.Fig10.MedianChange10s, "median-change-10s")
-	b.ReportMetric(rep.Fig10.MedianChange100s, "median-change-100s")
+	wv.Seal(duration)
+	b.ResetTimer()
+	var ring *tm.ChangeRing
+	for i := 0; i < b.N; i++ {
+		ring = tm.NewChangeRing(1, 10)
+		for j := 0; j < int((duration+bin-1)/bin); j++ {
+			from, to := tm.SeriesBinWindow(j, bin, duration)
+			ring.Push(tm.ServerMatrix(wv.Slice(from, to), rr.Top.NumHosts(), from, to))
+		}
+	}
+	medianNonZero := func(xs []float64) float64 {
+		var nz []float64
+		for _, x := range xs {
+			if x != 0 {
+				nz = append(nz, x)
+			}
+		}
+		return stats.Median(nz)
+	}
+	sameMetric(b, medianNonZero(ring.Changes(0)), rep.Fig10.MedianChange10s, "median-change-10s")
+	sameMetric(b, medianNonZero(ring.Changes(1)), rep.Fig10.MedianChange100s, "median-change-100s")
 }
 
 func BenchmarkFig11InterArrivals(b *testing.B) {
 	rr, rep := benchSetup(b)
+	recs := canonicalRecords(b, rr)
+	duration := rr.Config.Duration
+	b.ResetTimer()
+	var it *flows.InterArrivalTracker
 	for i := 0; i < b.N; i++ {
-		_ = flows.ServerInterArrivals(rr.Records(), rr.Top)
+		it = flows.NewInterArrivalTracker(rr.Top, 0)
+		for j := range recs {
+			it.Observe(&recs[j])
+		}
 	}
-	b.ReportMetric(rep.Fig11.ModeMs, "mode-ms")
-	b.ReportMetric(rep.Fig11.ArrivalPerSec, "arrivals-per-s")
+	arrivals := 0
+	for _, r := range recs {
+		if r.Start < duration {
+			arrivals++
+		}
+	}
+	sameMetric(b, it.ModeMs(), rep.Fig11.ModeMs, "mode-ms")
+	sameMetric(b, float64(arrivals)/duration.Seconds(), rep.Fig11.ArrivalPerSec, "arrivals-per-s")
 }
 
 func BenchmarkFig12TomographyError(b *testing.B) {
@@ -237,13 +318,19 @@ func BenchmarkFig14SparsityComparison(b *testing.B) {
 
 func BenchmarkSec44IncastPreconditions(b *testing.B) {
 	rr, rep := benchSetup(b)
+	recs := canonicalRecords(b, rr)
 	eps := congestion.Detect(rr.Net.Stats(), rr.Top, 0, rr.Top.InterSwitchLinks())
+	b.ResetTimer()
+	var audit congestion.IncastAudit
 	for i := 0; i < b.N; i++ {
-		_ = congestion.AuditIncast(rr.Records(), rr.Top, eps,
-			rr.Net.Stats().BinSize(), rr.Config.Duration, 2)
+		tr := congestion.NewIncastTracker(rr.Top)
+		for j := range recs {
+			tr.Observe(&recs[j])
+		}
+		audit = tr.Audit(eps, rr.Net.Stats().BinSize(), rr.Config.Duration, rr.Cluster.Config().MaxConnsPerVertex)
 	}
-	b.ReportMetric(rep.Incast.FracFlowsWithinRack, "frac-rack")
-	b.ReportMetric(float64(rep.Incast.MaxSimultaneousConnections), "conn-cap")
+	sameMetric(b, audit.FracFlowsWithinRack, rep.Incast.FracFlowsWithinRack, "frac-rack")
+	sameMetric(b, float64(audit.MaxSimultaneousConnections), float64(rep.Incast.MaxSimultaneousConnections), "conn-cap")
 }
 
 // --- ablations ---------------------------------------------------------
@@ -389,9 +476,14 @@ func BenchmarkAblationSparseVsDenseTM(b *testing.B) {
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
-		dense := m.Dense()
+		n := m.N()
+		dense := make([]float64, n*n)
+		m.ForEach(func(src, dst int, bytes float64) { dense[src*n+dst] = bytes })
 		for i := 0; i < b.N; i++ {
-			back := tm.FromDense(m.N(), dense)
+			back := tm.NewMatrix(n)
+			for k, v := range dense {
+				back.Add(k/n, k%n, v)
+			}
 			_ = tm.ComputeEntryStats(back, rr.Top)
 		}
 	})

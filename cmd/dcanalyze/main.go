@@ -10,7 +10,10 @@
 // With -trace it streams a dcsim-written record file (JSONL, optionally
 // .gz) through the bounded-memory pipeline instead, producing the
 // record-only figures (2, 3, 4, 9, 10, 11, incast) without ever
-// materializing the trace:
+// materializing the trace. Pass the flags the trace was simulated with
+// (-racks, -servers and -duration, or -paper): they set the topology
+// and duration it is analyzed against, and a record whose endpoint
+// lies outside that topology is an error:
 //
 //	dcanalyze -trace trace.jsonl -racks 8 -servers 10 -duration 2h
 //
@@ -44,7 +47,6 @@ import (
 	"time"
 
 	"dctraffic"
-	"dctraffic/internal/topology"
 )
 
 func main() {
@@ -79,7 +81,7 @@ func main() {
 	var err error
 	switch {
 	case *traceFile != "":
-		rep, err = analyzeTrace(*traceFile, *racks, *servers, *duration, aopts)
+		rep, err = analyzeTrace(*traceFile, runConfigFor(*paper, *racks, *servers, *duration, *seed), aopts)
 	case *fused:
 		rep, err = runFused(*paper, *racks, *servers, *duration, *seed, *progress, *metricsOut, aopts)
 	default:
@@ -145,8 +147,9 @@ func main() {
 	}
 }
 
-// runConfigFor builds the simulated-run configuration the two-phase
-// and fused paths share.
+// runConfigFor builds the run configuration every path shares: the
+// two-phase and fused paths simulate it, and -trace analyzes against
+// its topology and duration.
 func runConfigFor(paper bool, racks, servers int, duration time.Duration, seed uint64) dctraffic.RunConfig {
 	cfg := dctraffic.SmallRun()
 	if paper {
@@ -231,13 +234,11 @@ func runFused(paper bool, racks, servers int, duration time.Duration, seed uint6
 // analyzeTrace streams a trace file through the bounded-memory pipeline:
 // records flow from the file source straight into the sweep's sliding
 // window and online accumulators, so memory stays O(window) no matter
-// how long the trace is. Run-only figures (5-8, tomography,
-// attribution) stay zero.
-func analyzeTrace(path string, racks, servers int, duration time.Duration, aopts []dctraffic.AnalyzeOption) (*dctraffic.Report, error) {
-	cfg := topology.SmallConfig()
-	cfg.Racks = racks
-	cfg.ServersPerRack = servers
-	top, err := dctraffic.NewTopology(cfg)
+// how long the trace is. The topology and duration are cfg's, the run
+// configuration the simulating paths would use. Run-only figures (5-8,
+// tomography, attribution) stay zero.
+func analyzeTrace(path string, cfg dctraffic.RunConfig, aopts []dctraffic.AnalyzeOption) (*dctraffic.Report, error) {
+	top, err := dctraffic.NewTopology(cfg.Topology)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +249,7 @@ func analyzeTrace(path string, racks, servers int, duration time.Duration, aopts
 	defer src.Close()
 	aopts = append(aopts,
 		dctraffic.WithAnalyzeTopology(top),
-		dctraffic.WithAnalyzeDuration(duration),
+		dctraffic.WithAnalyzeDuration(cfg.Duration),
 	)
 	return dctraffic.AnalyzeSource(context.Background(), src, aopts...)
 }

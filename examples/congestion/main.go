@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -39,9 +40,15 @@ func main() {
 		_ = over10
 	}
 
-	// Figures 7–8 at the default threshold.
-	eps := congestion.Detect(rr.Net.Stats(), rr.Top, 0, links)
-	overlap, all := congestion.OverlapRateCDFs(rr.Records(), eps, rr.Top)
+	// Figures 7–8 and the incast audit at the default threshold, from
+	// the analysis report; Figure 7's quantiles from the episode join
+	// the analysis runs.
+	rep, err := dctraffic.AnalyzeRun(context.Background(), rr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	eps := rep.Fig5.Episodes
+	overlap, all := congestion.OverlapRateCDFsIndexed(rr.Records(), congestion.NewEpisodeIndex(eps), rr.Top)
 	fmt.Printf("\n== Fig 7: flow rates ==\n")
 	fmt.Printf("flows overlapping congestion: %d of %d\n", overlap.N(), all.N())
 	for _, q := range []float64{0.1, 0.5, 0.9} {
@@ -50,16 +57,13 @@ func main() {
 	}
 	fmt.Println("(the paper: the two distributions nearly coincide — rates alone hide the damage)")
 
-	period := cfg.Duration / 8
-	impacts := congestion.ReadFailureImpact(rr.Log, rr.Records(), eps, rr.Top, period, 8)
-	fmt.Printf("\n== Fig 8: read-failure impact per %v period ==\n", period)
-	for _, d := range impacts {
+	fmt.Printf("\n== Fig 8: read-failure impact per %v period ==\n", rep.Fig8.Period)
+	for _, d := range rep.Fig8.Days {
 		fmt.Printf("  period %d: P(fail|congested)=%.4f  P(fail|clear)=%.4f  increase %+.0f%%\n",
 			d.Day, d.PFailCongested, d.PFailClear, d.IncreasePct)
 	}
 
-	audit := congestion.AuditIncast(rr.Records(), rr.Top, eps,
-		rr.Net.Stats().BinSize(), cfg.Duration, rr.Cluster.Config().MaxConnsPerVertex)
+	audit := rep.Incast
 	fmt.Printf("\n== §4.4 incast preconditions ==\n")
 	fmt.Printf("  connection cap per vertex:  %d\n", audit.MaxSimultaneousConnections)
 	fmt.Printf("  flows within rack:          %.2f\n", audit.FracFlowsWithinRack)

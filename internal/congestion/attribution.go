@@ -38,22 +38,15 @@ func (a Attribution) Ranked() []netsim.FlowKind {
 	return kinds
 }
 
-// Attribute computes, for every congestion episode, which flow kinds'
-// bytes were crossing the hot link during the episode, assuming each
-// flow's bytes spread uniformly over its lifetime (the flow-record
-// approximation used throughout). The result is the paper's finding in
-// table form: reduce-phase shuffles dominate, with extract reads and
-// evacuations as the unexpected contributors.
-func Attribute(records []trace.FlowRecord, eps []Episode, top *topology.Topology) Attribution {
-	return MergeAttribution([]Attribution{
-		AttributeIndexed(records, NewEpisodeIndex(eps), top),
-	})
-}
-
-// AttributeIndexed computes one shard's unnormalized attribution sums —
-// per-kind bytes crossing hot links — against a prebuilt episode index.
-// Share and TotalBytes are left zero; combine shards (even a single
-// one) with MergeAttribution to normalize.
+// AttributeIndexed computes one record chunk's unnormalized attribution
+// sums against a prebuilt episode index: for every congestion episode,
+// the bytes of each flow kind crossing the hot link during the episode,
+// assuming each flow's bytes spread uniformly over its lifetime (the
+// flow-record approximation used throughout). Share and TotalBytes are
+// left zero; combine chunks (even a single one) with MergeAttribution
+// to normalize. The result is the paper's finding in table form:
+// reduce-phase shuffles dominate, with extract reads and evacuations as
+// the unexpected contributors.
 func AttributeIndexed(records []trace.FlowRecord, idx *EpisodeIndex, top *topology.Topology) Attribution {
 	a := Attribution{BytesOnCongested: make(map[netsim.FlowKind]float64)}
 	for _, r := range records {

@@ -71,40 +71,6 @@ func Detect(st *netsim.LinkStats, top *topology.Topology, threshold float64, lin
 	return out
 }
 
-// LinkSummary aggregates the episodes of one link.
-type LinkSummary struct {
-	Link         topology.LinkID
-	Episodes     int
-	LongestSec   float64
-	CongestedSec float64
-}
-
-// SummarizeLinks groups episodes per link.
-func SummarizeLinks(eps []Episode) []LinkSummary {
-	byLink := make(map[topology.LinkID]*LinkSummary)
-	var order []topology.LinkID
-	for _, e := range eps {
-		s := byLink[e.Link]
-		if s == nil {
-			s = &LinkSummary{Link: e.Link}
-			byLink[e.Link] = s
-			order = append(order, e.Link)
-		}
-		s.Episodes++
-		d := e.Duration().Seconds()
-		s.CongestedSec += d
-		if d > s.LongestSec {
-			s.LongestSec = d
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := make([]LinkSummary, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byLink[id])
-	}
-	return out
-}
-
 // FracLinksWithEpisodeAtLeast reports the fraction of the given links that
 // experienced at least one episode of at least minDur — the paper's "86%
 // of links observe congestion lasting at least 10 seconds, 15% at least
@@ -188,16 +154,11 @@ func FlowOverlapsCongestion(r trace.FlowRecord, idx *EpisodeIndex, top *topology
 	return false
 }
 
-// OverlapRateCDFs builds Figure 7: the rate distributions (Mbps) of flows
-// that overlapped congestion and of all flows.
-func OverlapRateCDFs(records []trace.FlowRecord, eps []Episode, top *topology.Topology) (overlap, all *stats.CDF) {
-	return OverlapRateCDFsIndexed(records, NewEpisodeIndex(eps), top)
-}
-
-// OverlapRateCDFsIndexed is OverlapRateCDFs against a prebuilt episode
-// index, for callers that join several record chunks with one index:
-// build each chunk's CDFs, then fold them into a stats.StreamCDF with
-// MergeCDF in chunk order.
+// OverlapRateCDFsIndexed builds Figure 7 over one record chunk: the
+// rate distributions (Mbps) of the flows that overlapped congestion and
+// of all flows, joined against a prebuilt episode index. The analysis
+// joins every chunk with one index, then folds each chunk's CDFs into a
+// stats.StreamCDF with MergeCDF in chunk order.
 func OverlapRateCDFsIndexed(records []trace.FlowRecord, idx *EpisodeIndex, top *topology.Topology) (overlap, all *stats.CDF) {
 	overlap, all = &stats.CDF{}, &stats.CDF{}
 	for _, r := range records {
@@ -368,74 +329,4 @@ type IncastAudit struct {
 	// reached one destination within a millisecond of each other — the
 	// incast trigger, bounded by connection caps and phase pacing.
 	MaxSyncFanIn int
-}
-
-// SynchronizedFanIn measures the incast trigger directly: for each
-// destination server, the largest number of distinct senders whose flows
-// started within one window of each other. Incast needs many synchronized
-// senders into one port; the connection cap and phase pacing keep this
-// number small.
-func SynchronizedFanIn(records []trace.FlowRecord, window netsim.Time) (maxFanIn int, histogram map[int]int) {
-	type arrival struct {
-		at  netsim.Time
-		src topology.ServerID
-	}
-	byDst := make(map[topology.ServerID][]arrival)
-	for _, r := range records {
-		if r.Src == r.Dst {
-			continue
-		}
-		byDst[r.Dst] = append(byDst[r.Dst], arrival{at: r.Start, src: r.Src})
-	}
-	histogram = make(map[int]int)
-	for _, as := range byDst {
-		sort.Slice(as, func(i, j int) bool { return as[i].at < as[j].at })
-		lo := 0
-		senders := make(map[topology.ServerID]int)
-		distinct := 0
-		for hi := 0; hi < len(as); hi++ {
-			senders[as[hi].src]++
-			if senders[as[hi].src] == 1 {
-				distinct++
-			}
-			for as[hi].at-as[lo].at > window {
-				senders[as[lo].src]--
-				if senders[as[lo].src] == 0 {
-					distinct--
-					delete(senders, as[lo].src)
-				}
-				lo++
-			}
-			histogram[distinct]++
-			if distinct > maxFanIn {
-				maxFanIn = distinct
-			}
-		}
-	}
-	return maxFanIn, histogram
-}
-
-// AuditIncast computes the audit over a record set.
-func AuditIncast(records []trace.FlowRecord, top *topology.Topology, eps []Episode, binSize, horizon netsim.Time, maxConns int) IncastAudit {
-	a := IncastAudit{MaxSimultaneousConnections: maxConns}
-	var total, rack, vlan int
-	for _, r := range records {
-		if top.IsExternal(r.Src) || top.IsExternal(r.Dst) {
-			continue
-		}
-		total++
-		if r.Src == r.Dst || top.SameRack(r.Src, r.Dst) {
-			rack++
-			vlan++
-		} else if top.SameVLAN(r.Src, r.Dst) {
-			vlan++
-		}
-	}
-	if total > 0 {
-		a.FracFlowsWithinRack = float64(rack) / float64(total)
-		a.FracFlowsWithinVLAN = float64(vlan) / float64(total)
-	}
-	a.MeanConcurrentCongestedLinks = stats.MeanInt(ConcurrencySeries(eps, binSize, horizon))
-	a.MaxSyncFanIn, _ = SynchronizedFanIn(records, time.Millisecond)
-	return a
 }

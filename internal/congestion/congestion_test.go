@@ -96,13 +96,6 @@ func TestSummarizeAndFrac(t *testing.T) {
 		{Link: 1, Start: 10 * time.Second, End: 30 * time.Second},
 		{Link: 2, Start: 0, End: 2 * time.Second},
 	}
-	sums := SummarizeLinks(eps)
-	if len(sums) != 2 {
-		t.Fatalf("summaries = %v", sums)
-	}
-	if sums[0].Link != 1 || sums[0].Episodes != 2 || sums[0].LongestSec != 20 || sums[0].CongestedSec != 25 {
-		t.Fatalf("link 1 summary wrong: %+v", sums[0])
-	}
 	links := []topology.LinkID{1, 2, 3}
 	if f := FracLinksWithEpisodeAtLeast(eps, links, 10*time.Second); math.Abs(f-1.0/3) > 1e-12 {
 		t.Fatalf("frac >= 10s = %v, want 1/3", f)
@@ -162,7 +155,7 @@ func TestOverlapRateCDFs(t *testing.T) {
 		{ID: 2, Src: 5, Dst: 6, Bytes: 1_250_000, Start: time.Second, End: 2 * time.Second},       // elsewhere
 		{ID: 3, Src: 0, Dst: 1, Bytes: 1_250_000, Start: 20 * time.Second, End: 21 * time.Second}, // after episode
 	}
-	overlap, all := OverlapRateCDFs(records, eps, top)
+	overlap, all := OverlapRateCDFsIndexed(records, NewEpisodeIndex(eps), top)
 	if all.N() != 3 || overlap.N() != 1 {
 		t.Fatalf("overlap=%d all=%d", overlap.N(), all.N())
 	}
@@ -286,7 +279,7 @@ func TestAttribute(t *testing.T) {
 		// Control flow elsewhere: never on the hot link.
 		mkr(3, 5, 6, 1000, 0, 10*time.Second, netsim.KindControl),
 	}
-	a := Attribute(records, eps, top)
+	a := MergeAttribution([]Attribution{AttributeIndexed(records, NewEpisodeIndex(eps), top)})
 	if a.TotalBytes != 1500 {
 		t.Fatalf("total attributed = %v, want 1500", a.TotalBytes)
 	}
@@ -304,7 +297,7 @@ func TestAttribute(t *testing.T) {
 		t.Fatalf("ranking = %v", ranked)
 	}
 	// Empty inputs.
-	empty := Attribute(nil, nil, top)
+	empty := MergeAttribution([]Attribution{AttributeIndexed(nil, NewEpisodeIndex(nil), top)})
 	if empty.TotalBytes != 0 || len(empty.Ranked()) != 0 {
 		t.Fatal("empty attribution should be zero")
 	}

@@ -9,11 +9,12 @@ import (
 	"dctraffic/internal/trace"
 )
 
-// FanInTracker is the online form of SynchronizedFanIn's maximum: it
-// observes records in nondecreasing Start order and maintains, per
-// destination, the distinct-sender count inside the sliding arrival
-// window, holding only the arrivals the window can still cover instead
-// of every arrival in the trace.
+// FanInTracker measures the incast trigger: the largest number of
+// distinct senders whose flows reached one destination within one
+// window of each other. It observes records in nondecreasing Start
+// order and maintains, per destination, the distinct-sender count
+// inside the sliding arrival window, holding only the arrivals the
+// window can still cover instead of every arrival in the trace.
 type FanInTracker struct {
 	window netsim.Time
 	byDst  map[topology.ServerID]*dstWindow
@@ -34,13 +35,12 @@ type arrival struct {
 }
 
 // NewFanInTracker tracks distinct senders per destination within
-// window (SynchronizedFanIn uses 1 ms for the incast audit).
+// window (the incast audit uses 1 ms).
 func NewFanInTracker(window netsim.Time) *FanInTracker {
 	return &FanInTracker{window: window, byDst: make(map[topology.ServerID]*dstWindow)}
 }
 
-// Observe consumes the next record. Self-flows are skipped, matching
-// SynchronizedFanIn.
+// Observe consumes the next record. Self-flows are skipped.
 func (f *FanInTracker) Observe(r *trace.FlowRecord) {
 	if r.Src == r.Dst {
 		return
@@ -76,14 +76,12 @@ func (f *FanInTracker) Observe(r *trace.FlowRecord) {
 	}
 }
 
-// Max reports the maximum synchronized fan-in observed so far. Equal to
-// SynchronizedFanIn's maxFanIn over the same records: within one
-// destination the sliding window admits the same arrival sets, and the
-// maximum over window positions does not depend on how Start ties are
-// ordered (tied arrivals land in one window together either way).
+// Max reports the maximum synchronized fan-in observed so far. It does
+// not depend on how Start ties are ordered: tied arrivals land in one
+// window together either way.
 func (f *FanInTracker) Max() int { return f.max }
 
-// IncastTracker streams the record-derived half of the §5 incast audit
+// IncastTracker streams the record-derived half of the §4.4 incast audit
 // — the locality fractions and the synchronized fan-in maximum — so
 // trace-file analyses can audit incast without materializing records.
 // The episode-derived fields (mean concurrent congested links) and the
@@ -96,8 +94,8 @@ type IncastTracker struct {
 	vlan  int
 }
 
-// NewIncastTracker builds a tracker over top using AuditIncast's 1 ms
-// fan-in window.
+// NewIncastTracker builds a tracker over top with a 1 ms fan-in
+// window.
 func NewIncastTracker(top *topology.Topology) *IncastTracker {
 	return &IncastTracker{top: top, fan: NewFanInTracker(netsim.Time(time.Millisecond))}
 }
@@ -118,7 +116,7 @@ func (t *IncastTracker) Observe(r *trace.FlowRecord) {
 }
 
 // Audit combines the streamed counters with the episode- and
-// config-derived fields into the same IncastAudit AuditIncast returns.
+// config-derived fields into the §4.4 IncastAudit.
 func (t *IncastTracker) Audit(eps []Episode, binSize, horizon netsim.Time, maxConns int) IncastAudit {
 	a := IncastAudit{MaxSimultaneousConnections: maxConns}
 	if t.total > 0 {

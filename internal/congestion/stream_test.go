@@ -99,3 +99,73 @@ func TestFanInTrackerMatchesBatch(t *testing.T) {
 		}
 	}
 }
+
+// SynchronizedFanIn is the batch oracle of FanInTracker: for each
+// destination server, the largest number of distinct senders whose flows
+// started within one window of each other, plus a histogram of the
+// distinct-sender counts.
+func SynchronizedFanIn(records []trace.FlowRecord, window netsim.Time) (maxFanIn int, histogram map[int]int) {
+	type arrival struct {
+		at  netsim.Time
+		src topology.ServerID
+	}
+	byDst := make(map[topology.ServerID][]arrival)
+	for _, r := range records {
+		if r.Src == r.Dst {
+			continue
+		}
+		byDst[r.Dst] = append(byDst[r.Dst], arrival{at: r.Start, src: r.Src})
+	}
+	histogram = make(map[int]int)
+	for _, as := range byDst {
+		sort.Slice(as, func(i, j int) bool { return as[i].at < as[j].at })
+		lo := 0
+		senders := make(map[topology.ServerID]int)
+		distinct := 0
+		for hi := 0; hi < len(as); hi++ {
+			senders[as[hi].src]++
+			if senders[as[hi].src] == 1 {
+				distinct++
+			}
+			for as[hi].at-as[lo].at > window {
+				senders[as[lo].src]--
+				if senders[as[lo].src] == 0 {
+					distinct--
+					delete(senders, as[lo].src)
+				}
+				lo++
+			}
+			histogram[distinct]++
+			if distinct > maxFanIn {
+				maxFanIn = distinct
+			}
+		}
+	}
+	return maxFanIn, histogram
+}
+
+// AuditIncast computes the §4.4 audit over a whole record set: the
+// batch oracle of IncastTracker.
+func AuditIncast(records []trace.FlowRecord, top *topology.Topology, eps []Episode, binSize, horizon netsim.Time, maxConns int) IncastAudit {
+	a := IncastAudit{MaxSimultaneousConnections: maxConns}
+	var total, rack, vlan int
+	for _, r := range records {
+		if top.IsExternal(r.Src) || top.IsExternal(r.Dst) {
+			continue
+		}
+		total++
+		if r.Src == r.Dst || top.SameRack(r.Src, r.Dst) {
+			rack++
+			vlan++
+		} else if top.SameVLAN(r.Src, r.Dst) {
+			vlan++
+		}
+	}
+	if total > 0 {
+		a.FracFlowsWithinRack = float64(rack) / float64(total)
+		a.FracFlowsWithinVLAN = float64(vlan) / float64(total)
+	}
+	a.MeanConcurrentCongestedLinks = stats.MeanInt(ConcurrencySeries(eps, binSize, horizon))
+	a.MaxSyncFanIn, _ = SynchronizedFanIn(records, time.Millisecond)
+	return a
+}

@@ -24,8 +24,9 @@ import (
 type AnalyzeOption func(*analyzeConfig)
 
 // analyzeConfig is the resolved option set. It embeds AnalyzeOptions,
-// the single definition of the per-figure knobs (and of their defaults,
-// via ApplyDefaults); the WithX options write here.
+// the single definition of the per-figure parameters and of their
+// defaults (ApplyDefaults); WithAnalysisObserver and
+// WithInactivityTimeout write its two settable fields.
 type analyzeConfig struct {
 	AnalyzeOptions
 
@@ -84,51 +85,11 @@ func WithAnalysisObserver(reg *obs.Registry) AnalyzeOption {
 	return func(c *analyzeConfig) { c.Observer = reg }
 }
 
-// WithFig2Window sets the short TM snapshot window (paper: 10 s).
-func WithFig2Window(w netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Fig2Window = w }
-}
-
-// WithFig2At sets the snapshot window start (default: mid-run).
-func WithFig2At(t netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Fig2At = t }
-}
-
-// WithCongestionThreshold sets C (default 0.7).
-func WithCongestionThreshold(c float64) AnalyzeOption {
-	return func(cfg *analyzeConfig) { cfg.CongestionThreshold = c }
-}
-
-// WithFig8Period sets the read-attempt grouping period (paper: a day).
-func WithFig8Period(d netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Fig8Period = d }
-}
-
-// WithFig10Bin sets the fine TM timescale (paper: 10 s).
-func WithFig10Bin(d netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Fig10Bin = d }
-}
-
 // WithInactivityTimeout enables the §3 flow-boundary methodology before
 // the flow-level analyses: records sharing a five-tuple quiet for less
 // than the timeout merge into one flow.
 func WithInactivityTimeout(d netsim.Time) AnalyzeOption {
 	return func(c *analyzeConfig) { c.InactivityTimeout = d }
-}
-
-// WithTomoBin sets the tomography TM timescale (paper: 10 min).
-func WithTomoBin(d netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.TomoBin = d }
-}
-
-// WithTomoMaxTMs caps the tomography instances analyzed.
-func WithTomoMaxTMs(n int) AnalyzeOption {
-	return func(c *analyzeConfig) { c.TomoMaxTMs = n }
-}
-
-// WithJobPriorAlpha scales the §5.3 multiplier.
-func WithJobPriorAlpha(a float64) AnalyzeOption {
-	return func(c *analyzeConfig) { c.JobPriorAlpha = a }
 }
 
 // WithCDFSampleCap bounds the exact-sample count of each whole-run
@@ -271,15 +232,11 @@ type streamAnalysis struct {
 	binSize netsim.Time
 
 	// per-record streaming consumers
-	incast           *congestion.IncastTracker
-	ia               *flows.InterArrivalTracker
-	reasm            *flows.StreamReassembler
-	byFlows          *stats.StreamCDF
-	byBytes          *stats.StreamCDF
-	rates            *stats.StreamCDF
-	flowCount        int64
-	flowStartsBefore int64
-	rawStartsBefore  int64
+	incast          *congestion.IncastTracker
+	ia              *flows.InterArrivalTracker
+	reasm           *flows.StreamReassembler
+	fig9            *flows.SummaryTracker
+	rawStartsBefore int64
 
 	// record chunks (Figure 7 join + attribution), run mode only
 	chunkBuf    []trace.FlowRecord
@@ -332,8 +289,10 @@ type streamAnalysis struct {
 // "analyze.figures" (the sweep and the record-figure merges),
 // "analyze.congestion" (Figures 5–8, incast, attribution).
 //
-// It returns an error on cancellation, on a source read failure, or on
-// a source that violates the canonical order.
+// It returns an error on cancellation, on a source read failure, on a
+// source that violates the canonical order, or on a record with an
+// endpoint outside the topology, an end before its start, or negative
+// bytes.
 func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption) (*Report, error) {
 	var cfg analyzeConfig
 	for _, o := range opts {
@@ -404,9 +363,7 @@ func (a *streamAnalysis) setup() {
 
 	a.incast = congestion.NewIncastTracker(a.top)
 	a.ia = flows.NewInterArrivalTracker(a.top, cfg.cdfCap)
-	a.byFlows = stats.NewStreamCDF(cfg.cdfCap)
-	a.byBytes = stats.NewStreamCDF(cfg.cdfCap)
-	a.rates = stats.NewStreamCDF(cfg.cdfCap)
+	a.fig9 = flows.NewSummaryTracker(duration, cfg.cdfCap)
 	if cfg.InactivityTimeout > 0 {
 		a.reasm = flows.NewStreamReassembler(cfg.InactivityTimeout, a.consumeFlow)
 	}
@@ -550,6 +507,9 @@ func (a *streamAnalysis) advance(boundary netsim.Time) error {
 // deliver feeds one record to the window view, the per-record
 // consumers, and the chunk buffer.
 func (a *streamAnalysis) deliver(r trace.FlowRecord) error {
+	if err := a.checkRecord(&r); err != nil {
+		return err
+	}
 	if err := a.wv.Append(r); err != nil {
 		return err
 	}
@@ -571,19 +531,28 @@ func (a *streamAnalysis) deliver(r trace.FlowRecord) error {
 	return nil
 }
 
+// checkRecord rejects a record the figures cannot take: an endpoint
+// outside the topology's hosts, an end before the start, or a negative
+// byte count. A trace file is input from outside the program, and every
+// source passes through here.
+func (a *streamAnalysis) checkRecord(r *trace.FlowRecord) error {
+	switch {
+	case uint(r.Src) >= uint(a.numHosts):
+		return fmt.Errorf("record %d: src %d outside the topology's %d hosts", r.ID, r.Src, a.numHosts)
+	case uint(r.Dst) >= uint(a.numHosts):
+		return fmt.Errorf("record %d: dst %d outside the topology's %d hosts", r.ID, r.Dst, a.numHosts)
+	case r.End < r.Start:
+		return fmt.Errorf("record %d: end %d before start %d", r.ID, r.End, r.Start)
+	case r.Bytes < 0:
+		return fmt.Errorf("record %d: negative bytes %d", r.ID, r.Bytes)
+	}
+	return nil
+}
+
 // consumeFlow feeds one flow record (raw, or reassembled when
 // InactivityTimeout is set) to the flow-level accumulators.
 func (a *streamAnalysis) consumeFlow(r trace.FlowRecord) {
-	a.flowCount++
-	if r.Start < a.duration {
-		a.flowStartsBefore++
-	}
-	d := r.Duration().Seconds()
-	a.byFlows.Add(d)
-	a.byBytes.AddWeighted(d, float64(r.Bytes))
-	if rate := r.AvgRateBps(); rate > 0 {
-		a.rates.Add(rate / 1e6)
-	}
+	a.fig9.Observe(&r)
 	a.ia.Observe(&r)
 }
 
@@ -804,17 +773,9 @@ func (a *streamAnalysis) mergeFigures(rep *Report) {
 	}
 
 	rep.Fig9 = Fig9Data{
-		ByFlowsCDF: a.byFlows.Points(100),
-		ByBytesCDF: a.byBytes.Points(100),
-		Summary: flows.Summary{
-			NumFlows:             int(a.flowCount),
-			FracShorterThan10s:   a.byFlows.P(10),
-			FracLongerThan200s:   1 - a.byFlows.P(200),
-			BytesInFlowsUnder25s: a.byBytes.P(25),
-			MedianDurationSec:    a.byFlows.Quantile(0.5),
-			MedianRateMbps:       a.rates.Quantile(0.5),
-			ArrivalRatePerSec:    float64(a.flowStartsBefore) / a.duration.Seconds(),
-		},
+		ByFlowsCDF: a.fig9.ByFlows.Points(100),
+		ByBytesCDF: a.fig9.ByBytes.Points(100),
+		Summary:    a.fig9.Summary(),
 	}
 
 	mag := a.ring.Magnitude()

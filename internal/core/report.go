@@ -12,10 +12,12 @@ import (
 	"dctraffic/internal/trace"
 )
 
-// AnalyzeOptions tunes the per-figure analyses. ApplyDefaults fills zero
-// fields. It is the knob set of the streaming pipeline (AnalyzeSource's
-// config embeds it); callers set it through the equivalent WithX
-// functional options.
+// AnalyzeOptions holds the per-figure parameters of the streaming
+// pipeline (AnalyzeSource's config embeds it). The figure windows,
+// threshold and tomography parameters are the paper's constants, which
+// ApplyDefaults derives from the run duration; no option sets them.
+// WithAnalysisObserver sets Observer and WithInactivityTimeout sets
+// InactivityTimeout.
 type AnalyzeOptions struct {
 	// Observer, when non-nil, receives per-stage wall-clock phases
 	// ("analyze.index", "analyze.figures", "analyze.congestion") and

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"dctraffic/internal/flows"
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/snmp"
 	"dctraffic/internal/stats"
@@ -64,7 +63,10 @@ func TestAnalyzeWithReassembly(t *testing.T) {
 // factor of the extent size, not an unbounded elephant.
 func TestNoSuperLargeFlows(t *testing.T) {
 	rr, _ := smallRun(t)
-	maxFlow := flows.MaxFlowBytes(rr.Records())
+	var maxFlow int64
+	for _, r := range rr.Records() {
+		maxFlow = max(maxFlow, r.Bytes)
+	}
 	extent := rr.Store.Config().ExtentBytes
 	if maxFlow > 4*extent {
 		t.Fatalf("super-large flow found: %d bytes vs %d-byte extents", maxFlow, extent)

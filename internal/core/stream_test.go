@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"dctraffic/internal/netsim"
+	"dctraffic/internal/topology"
 	"dctraffic/internal/trace"
 )
 
@@ -138,4 +142,83 @@ func TestAnalyzeSourceValidation(t *testing.T) {
 	if _, err := AnalyzeSource(context.Background(), rr.Source(), WithTopology(rr.Top)); err == nil {
 		t.Fatal("AnalyzeSource without duration: want error")
 	}
+}
+
+// Each malformed record — an endpoint outside the topology's hosts, an
+// end before its start, negative bytes — makes AnalyzeSource return an
+// error naming the record and the field, instead of panicking deep in
+// a figure accumulator or being analyzed silently.
+func TestAnalyzeSourceRejectsMalformedRecords(t *testing.T) {
+	top := topology.MustNew(topology.SmallConfig())
+	sec := netsim.Time(time.Second)
+	good := trace.FlowRecord{ID: 1, Src: 0, Dst: 1, Start: sec, End: 2 * sec, Bytes: 1000}
+	analyze := func(bad trace.FlowRecord) error {
+		src := trace.NewSliceSource([]trace.FlowRecord{good, bad})
+		_, err := AnalyzeSource(context.Background(), src, WithTopology(top), WithDuration(time.Minute))
+		return err
+	}
+	if err := analyze(trace.FlowRecord{ID: 2, Src: 2, Dst: 3, Start: 3 * sec, End: 4 * sec, Bytes: 5}); err != nil {
+		t.Fatalf("valid trace rejected: %v", err)
+	}
+	hosts := top.NumHosts()
+	for _, c := range []struct {
+		name string
+		bad  trace.FlowRecord
+		want string
+	}{
+		{"src past the hosts", trace.FlowRecord{ID: 7, Src: topology.ServerID(hosts), Dst: 1, Start: 3 * sec, End: 4 * sec}, "record 7: src"},
+		{"negative src", trace.FlowRecord{ID: 7, Src: -1, Dst: 1, Start: 3 * sec, End: 4 * sec}, "record 7: src"},
+		{"dst past the hosts", trace.FlowRecord{ID: 7, Src: 0, Dst: 500, Start: 3 * sec, End: 4 * sec}, "record 7: dst"},
+		{"negative dst", trace.FlowRecord{ID: 7, Src: 0, Dst: -7, Start: 3 * sec, End: 4 * sec}, "record 7: dst"},
+		{"end before start", trace.FlowRecord{ID: 7, Src: 0, Dst: 1, Start: 4 * sec, End: 3 * sec}, "record 7: end"},
+		{"negative bytes", trace.FlowRecord{ID: 7, Src: 0, Dst: 1, Start: 3 * sec, End: 4 * sec, Bytes: -1000000}, "record 7: negative bytes"},
+	} {
+		err := analyze(c.bad)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// Figure 9's summary on flows whose answers can be counted by hand: 60
+// instantaneous flows of 500 B, 30 flows of 1 000 B over 2 s and 10 of
+// 1 MB over 300 s, starting 100 ms apart inside a 10 s trace. Durations
+// count per flow and per byte, rates skip the instantaneous flows, and
+// the arrival rate counts starts inside the duration.
+func TestFig9SummaryOnHandBuiltFlows(t *testing.T) {
+	top := topology.MustNew(topology.SmallConfig())
+	var recs []trace.FlowRecord
+	for i := 0; i < 100; i++ {
+		start := netsim.Time(i) * netsim.Time(100*time.Millisecond)
+		r := trace.FlowRecord{ID: netsim.FlowID(i), Src: 0, Dst: 1, SrcPort: uint16(i), Start: start, End: start, Bytes: 500}
+		switch {
+		case i >= 90:
+			r.End, r.Bytes = start+netsim.Time(300*time.Second), 1_000_000
+		case i >= 60:
+			r.End, r.Bytes = start+netsim.Time(2*time.Second), 1000
+		}
+		recs = append(recs, r)
+	}
+	rep, err := AnalyzeSource(context.Background(), trace.NewSliceSource(recs),
+		WithTopology(top), WithDuration(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rep.Fig9.Summary
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	if s.NumFlows != 100 {
+		t.Errorf("NumFlows = %d, want 100", s.NumFlows)
+	}
+	near("FracShorterThan10s", s.FracShorterThan10s, 0.9)
+	near("FracLongerThan200s", s.FracLongerThan200s, 0.1)
+	near("BytesInFlowsUnder25s", s.BytesInFlowsUnder25s, 60_000.0/10_060_000)
+	near("MedianDurationSec", s.MedianDurationSec, 0)
+	near("MedianRateMbps", s.MedianRateMbps, 1000*8/2/1e6) // 40 rated flows, 30 at 4 kbit/s
+	near("ArrivalRatePerSec", s.ArrivalRatePerSec, 10)
+	near("Fig11.ArrivalPerSec", rep.Fig11.ArrivalPerSec, 10)
 }

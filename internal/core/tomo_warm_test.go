@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 	"math"
 	"testing"
 
@@ -37,15 +38,27 @@ func TestAnalyzeTomoColdVsWarm(t *testing.T) {
 
 	duration := rr.Config.Duration
 	opts := AnalyzeOptions{}.ApplyDefaults(duration)
-	view := trace.NewRecordView(rr.Records(), rr.Top)
+	view := trace.NewWindowView()
+	src := rr.Source()
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view.Seal(duration)
 	p := tomo.NewProblem(rr.Top)
 	windows := min(int((duration+opts.TomoBin-1)/opts.TomoBin), opts.TomoMaxTMs)
 	var cold Fig12Data
 	for i := 0; i < windows; i++ {
 		from, to := tm.SeriesBinWindow(i, opts.TomoBin, duration)
-		var slice []trace.FlowRecord
-		view.Overlapping(from, to, func(r trace.FlowRecord) { slice = append(slice, r) })
-		truth := tm.TorMatrix(slice, rr.Top, from, to)
+		truth := tm.TorMatrix(view.Slice(from, to), rr.Top, from, to)
 		if truth.Total() <= 0 {
 			continue
 		}

@@ -68,18 +68,28 @@ func TestReassembleSortedOutput(t *testing.T) {
 	}
 }
 
+// summarize feeds records to a SummaryTracker over a trace of the given
+// duration.
+func summarize(records []trace.FlowRecord, duration netsim.Time) *SummaryTracker {
+	st := NewSummaryTracker(duration, 0)
+	for i := range records {
+		st.Observe(&records[i])
+	}
+	return st
+}
+
 func TestDurationCDFs(t *testing.T) {
 	records := []trace.FlowRecord{
 		fr(1, 0, 1, 1, 10, 0, time.Second),      // 1s, 10 bytes
 		fr(2, 0, 2, 2, 10, 0, 2*time.Second),    // 2s
 		fr(3, 0, 3, 3, 980, 0, 100*time.Second), // 100s, carries most bytes
 	}
-	byFlows, byBytes := DurationCDFs(records)
-	if p := byFlows.P(2); math.Abs(p-2.0/3) > 1e-9 {
-		t.Fatalf("byFlows.P(2) = %v", p)
+	st := summarize(records, time.Hour)
+	if p := st.ByFlows.P(2); math.Abs(p-2.0/3) > 1e-9 {
+		t.Fatalf("ByFlows.P(2) = %v", p)
 	}
-	if p := byBytes.P(2); math.Abs(p-0.02) > 1e-9 {
-		t.Fatalf("byBytes.P(2) = %v, want 0.02", p)
+	if p := st.ByBytes.P(2); math.Abs(p-0.02) > 1e-9 {
+		t.Fatalf("ByBytes.P(2) = %v, want 0.02", p)
 	}
 }
 
@@ -89,7 +99,7 @@ func TestRateCDF(t *testing.T) {
 		fr(2, 0, 2, 2, 1_250_000, 0, time.Second), // 10 Mbps
 		fr(3, 0, 3, 3, 5, 0, 0),                   // zero duration: skipped
 	}
-	c := RateCDF(records)
+	c := summarize(records, time.Hour).Rates
 	if c.N() != 2 {
 		t.Fatalf("rate samples = %d, want 2", c.N())
 	}
@@ -147,11 +157,14 @@ func TestArrivalRate(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		records = append(records, fr(int64(i), 0, 1, uint16(i), 1, netsim.Time(i)*100*time.Millisecond, time.Hour))
 	}
-	rate := ArrivalRatePerSec(records, 10*time.Second)
+	rate := summarize(records, 10*time.Second).Summary().ArrivalRatePerSec
 	if rate != 10 {
 		t.Fatalf("arrival rate = %v, want 10/s", rate)
 	}
-	if ArrivalRatePerSec(records, 0) != 0 {
+	if rate := summarize(records, 5*time.Second).Summary().ArrivalRatePerSec; rate != 10 {
+		t.Fatalf("arrival rate over the first 5 s = %v, want 10/s (later starts not counted)", rate)
+	}
+	if summarize(records, 0).Summary().ArrivalRatePerSec != 0 {
 		t.Fatal("zero horizon should give 0")
 	}
 }
@@ -165,7 +178,7 @@ func TestSummarize(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		records = append(records, fr(int64(100+i), 0, 2, uint16(200+i), 1_000_000, 0, 300*time.Second))
 	}
-	s := Summarize(records, time.Hour)
+	s := summarize(records, time.Hour).Summary()
 	if s.NumFlows != 100 {
 		t.Fatalf("NumFlows = %d", s.NumFlows)
 	}
@@ -225,45 +238,6 @@ func TestReassembleConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSizeCDFAndMax(t *testing.T) {
-	records := []trace.FlowRecord{
-		fr(1, 0, 1, 1, 100, 0, time.Second),
-		fr(2, 0, 2, 2, 10_000, 0, time.Second),
-		fr(3, 0, 3, 3, 1_000_000, 0, time.Second),
-	}
-	c := SizeCDF(records)
-	if c.N() != 3 {
-		t.Fatalf("size samples = %d", c.N())
-	}
-	if got := MaxFlowBytes(records); got != 1_000_000 {
-		t.Fatalf("max = %d", got)
-	}
-	if MaxFlowBytes(nil) != 0 {
-		t.Fatal("empty max should be 0")
-	}
-}
-
-func TestConcurrentSeries(t *testing.T) {
-	records := []trace.FlowRecord{
-		fr(1, 0, 1, 1, 1, 0, 2*time.Second),                     // bins 0-1
-		fr(2, 0, 2, 2, 1, time.Second, 4*time.Second),           // bins 1-3
-		fr(3, 0, 3, 3, 1, 2500*time.Millisecond, 3*time.Second), // bin 2
-	}
-	s := ConcurrentSeries(records, time.Second, 5*time.Second)
-	want := []int{1, 2, 2, 1, 0}
-	if len(s) != len(want) {
-		t.Fatalf("series length %d", len(s))
-	}
-	for i, w := range want {
-		if s[i] != w {
-			t.Fatalf("bin %d = %d, want %d (series %v)", i, s[i], w, s)
-		}
-	}
-	if ConcurrentSeries(nil, 0, time.Second) != nil {
-		t.Fatal("invalid bin should give nil")
 	}
 }
 

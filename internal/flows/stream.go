@@ -18,9 +18,11 @@ import (
 // input watermark passes that point the pending flow is final; lookback
 // is bounded by the timeout, not the trace.
 //
-// Fed the same records, it emits exactly what Reassemble returns, in
-// the same order — the equivalence the streaming analysis path's digest
-// identity rests on.
+// The merge rule: within one five-tuple, taken in (Start, ID) order, a
+// record starting less than timeout after the flow's current End
+// extends it (bytes add, End grows); any later record starts a new
+// flow. What the reassembler emits is a pure function of the record
+// set.
 type StreamReassembler struct {
 	timeout netsim.Time
 	emit    func(trace.FlowRecord)
@@ -39,8 +41,7 @@ type pendingFlow struct {
 }
 
 // NewStreamReassembler returns a reassembler delivering finished flows
-// to emit. timeout <= 0 selects DefaultInactivityTimeout, mirroring
-// Reassemble.
+// to emit. timeout <= 0 selects DefaultInactivityTimeout.
 func NewStreamReassembler(timeout netsim.Time, emit func(trace.FlowRecord)) *StreamReassembler {
 	if timeout <= 0 {
 		timeout = DefaultInactivityTimeout
@@ -74,7 +75,7 @@ func (s *StreamReassembler) Feed(r trace.FlowRecord) {
 	k := fiveTuple{r.Src, r.Dst, r.SrcPort, r.DstPort}
 	if pf := s.pending[k]; pf != nil {
 		if r.Start-pf.rec.End < s.timeout {
-			// Same flow continues — identical merge rule to Reassemble.
+			// Same flow continues.
 			pf.rec.Bytes += r.Bytes
 			if r.End > pf.rec.End {
 				pf.rec.End = r.End
@@ -200,13 +201,71 @@ func (h *recordHeap) Pop() (popped any) {
 	return
 }
 
-// InterArrivalTracker is the online form of Figure 11's inter-arrival
-// analysis: it observes flows in canonical order and maintains the
-// cluster-, ToR- and server-scope gap distributions the View-based
-// functions compute offline, using per-endpoint last-start state
-// instead of posting lists. Gap values are identical sample multisets
-// to the offline versions (CDF queries are order-canonical), and the
-// server-gap mode histogram is the same one ModeSpacing builds.
+// SummaryTracker is Figure 9's flow-level analysis: it observes flows
+// and keeps the duration CDF (s) counted per flow (ByFlows) and per
+// byte (ByBytes), the average-rate CDF (Mbps) of the flows with a
+// positive duration (Rates), and how many flows start inside the trace
+// duration, the arrival rate's numerator.
+type SummaryTracker struct {
+	duration netsim.Time
+
+	ByFlows *stats.StreamCDF
+	ByBytes *stats.StreamCDF
+	Rates   *stats.StreamCDF
+
+	flows        int64
+	startsBefore int64
+}
+
+// NewSummaryTracker builds a tracker for a trace of the given duration
+// whose CDFs sketch past cdfCap samples (0 = default cap, < 0 = exact).
+func NewSummaryTracker(duration netsim.Time, cdfCap int) *SummaryTracker {
+	return &SummaryTracker{
+		duration: duration,
+		ByFlows:  stats.NewStreamCDF(cdfCap),
+		ByBytes:  stats.NewStreamCDF(cdfCap),
+		Rates:    stats.NewStreamCDF(cdfCap),
+	}
+}
+
+// Observe consumes one flow; the order does not matter.
+func (st *SummaryTracker) Observe(r *trace.FlowRecord) {
+	st.flows++
+	if r.Start < st.duration {
+		st.startsBefore++
+	}
+	d := r.Duration().Seconds()
+	st.ByFlows.Add(d)
+	st.ByBytes.AddWeighted(d, float64(r.Bytes))
+	if rate := r.AvgRateBps(); rate > 0 {
+		st.Rates.Add(rate / 1e6)
+	}
+}
+
+// Summary reports the headline numbers of the flows observed so far.
+// The arrival rate is 0 for a non-positive duration.
+func (st *SummaryTracker) Summary() Summary {
+	s := Summary{
+		NumFlows:             int(st.flows),
+		FracShorterThan10s:   st.ByFlows.P(10),
+		FracLongerThan200s:   1 - st.ByFlows.P(200),
+		BytesInFlowsUnder25s: st.ByBytes.P(25),
+		MedianDurationSec:    st.ByFlows.Quantile(0.5),
+		MedianRateMbps:       st.Rates.Quantile(0.5),
+	}
+	if st.duration > 0 {
+		s.ArrivalRatePerSec = float64(st.startsBefore) / st.duration.Seconds()
+	}
+	return s
+}
+
+// InterArrivalTracker is Figure 11's inter-arrival analysis: it
+// observes flows in canonical order and keeps, per endpoint, the last
+// flow start, adding each new gap (ms) to the cluster-scope CDF (any
+// flow), the ToR-scope CDF (flows with an endpoint in the rack) or the
+// server-scope CDF (flows from or to a cluster server). The server gaps
+// also feed a histogram whose fullest bin is the stop-and-go spacing
+// ModeMs reports.
 type InterArrivalTracker struct {
 	top *topology.Topology
 
@@ -227,7 +286,8 @@ type InterArrivalTracker struct {
 
 // NewInterArrivalTracker builds a tracker whose CDFs sketch past
 // cdfCap samples (0 = default cap, < 0 = exact). The mode histogram
-// uses ModeSpacing's Figure 11 parameters.
+// bins server gaps in [2, 100) ms at 0.5 ms: Figure 11's ~15 ms modes,
+// above the near-simultaneous flows one application event emits.
 func NewInterArrivalTracker(top *topology.Topology, cdfCap int) *InterArrivalTracker {
 	return &InterArrivalTracker{
 		top:        top,
@@ -242,13 +302,12 @@ func NewInterArrivalTracker(top *topology.Topology, cdfCap int) *InterArrivalTra
 	}
 }
 
-// gapMs converts a start-time delta to milliseconds exactly as
-// interArrivalsOf does.
+// gapMs converts a start-time delta to milliseconds.
 func gapMs(d netsim.Time) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Observe consumes the next flow (nondecreasing Start). Endpoint
-// visiting order matches the posting-list construction: Src always (if
-// internal), Dst when distinct; rack of Src, rack of Dst when distinct.
+// Observe consumes the next flow (nondecreasing Start). It visits Src
+// (if internal), then Dst when distinct; the rack of Src, then the rack
+// of Dst when distinct.
 func (it *InterArrivalTracker) Observe(r *trace.FlowRecord) {
 	if it.seenAny {
 		it.Cluster.Add(gapMs(r.Start - it.lastAny))
@@ -291,8 +350,8 @@ func (it *InterArrivalTracker) observeRack(r topology.RackID, t netsim.Time) {
 	it.lastRack[r] = t
 }
 
-// ModeMs reports the dominant server-gap spacing, matching
-// ModeSpacing(serverGaps, 2, 100, 196).
+// ModeMs reports the dominant server-gap spacing: the center of the
+// mode histogram's fullest bin, or 0 before any server gap.
 func (it *InterArrivalTracker) ModeMs() float64 {
 	if it.serverGaps == 0 {
 		return 0
@@ -301,7 +360,7 @@ func (it *InterArrivalTracker) ModeMs() float64 {
 }
 
 // histogramMode returns the most populated bin's center (first maximum
-// wins), or 0 for an empty histogram — ModeSpacing's selection rule.
+// wins), or 0 for an empty histogram.
 func histogramMode(h *stats.Histogram) float64 {
 	best, bestCount := 0, 0.0
 	for i, c := range h.Counts {

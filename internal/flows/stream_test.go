@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dctraffic/internal/det"
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/stats"
 	"dctraffic/internal/topology"
@@ -116,8 +117,8 @@ func TestStreamReassemblerBoundedPending(t *testing.T) {
 	}
 }
 
-// The tracker's CDFs and mode must agree with the offline View-based
-// pipeline: same sample multisets, hence identical query results under
+// The tracker's CDFs and mode must agree with the batch inter-arrival
+// functions: same sample multisets, hence identical query results under
 // the canonical-order CDF.
 func TestInterArrivalTrackerMatchesOffline(t *testing.T) {
 	top, err := topology.New(topology.SmallConfig())
@@ -138,10 +139,9 @@ func TestInterArrivalTrackerMatchesOffline(t *testing.T) {
 			Bytes: 1,
 		}
 	}
-	v := trace.NewRecordView(recs, top)
-	wantCluster := stats.NewCDF(ClusterInterArrivalsView(v))
-	wantTor := stats.NewCDF(TorInterArrivalsView(v))
-	serverGaps := ServerInterArrivalsView(v)
+	wantCluster := stats.NewCDF(ClusterInterArrivals(recs))
+	wantTor := stats.NewCDF(TorInterArrivals(recs, top))
+	serverGaps := ServerInterArrivals(recs, top)
 	wantServer := stats.NewCDF(serverGaps)
 	wantMode := ModeSpacing(serverGaps, 2, 100, 196)
 
@@ -177,4 +177,149 @@ func TestInterArrivalTrackerMatchesOffline(t *testing.T) {
 	if math.Float64bits(it.ModeMs()) != math.Float64bits(wantMode) {
 		t.Fatalf("mode %g != %g", it.ModeMs(), wantMode)
 	}
+}
+
+// Reassemble is the batch oracle of StreamReassembler: it applies the
+// inactivity-timeout methodology (§3) to a whole record set. Records
+// sharing a five-tuple whose gap is shorter than timeout merge into one
+// flow; a longer silence starts a new flow. Pass timeout <= 0 for
+// DefaultInactivityTimeout. The input is not modified; output is
+// ordered by start time.
+func Reassemble(records []trace.FlowRecord, timeout netsim.Time) []trace.FlowRecord {
+	if timeout <= 0 {
+		timeout = DefaultInactivityTimeout
+	}
+	byTuple := make(map[fiveTuple][]trace.FlowRecord)
+	for _, r := range records {
+		k := fiveTuple{r.Src, r.Dst, r.SrcPort, r.DstPort}
+		byTuple[k] = append(byTuple[k], r)
+	}
+	var out []trace.FlowRecord
+	for _, rs := range byTuple {
+		// (Start, ID) order — the canonical trace order — so batch and
+		// streaming reassembly see identical per-tuple sequences even
+		// when records of one tuple tie on Start.
+		sort.Slice(rs, func(i, j int) bool {
+			if rs[i].Start != rs[j].Start {
+				return rs[i].Start < rs[j].Start
+			}
+			return rs[i].ID < rs[j].ID
+		})
+		cur := rs[0]
+		for _, r := range rs[1:] {
+			if r.Start-cur.End < timeout {
+				// Same flow continues.
+				cur.Bytes += r.Bytes
+				if r.End > cur.End {
+					cur.End = r.End
+				}
+				continue
+			}
+			out = append(out, cur)
+			cur = r
+		}
+		out = append(out, cur)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// ClusterInterArrivals, ServerInterArrivals, TorInterArrivals and
+// ModeSpacing are the batch oracles of InterArrivalTracker.
+
+// interArrivalsOf computes successive gaps (milliseconds) of a sorted
+// start-time sequence.
+func interArrivalsOf(starts []netsim.Time) []float64 {
+	if len(starts) < 2 {
+		return nil
+	}
+	out := make([]float64, 0, len(starts)-1)
+	for i := 1; i < len(starts); i++ {
+		out = append(out, float64(starts[i]-starts[i-1])/float64(time.Millisecond))
+	}
+	return out
+}
+
+// ClusterInterArrivals returns the gaps (ms) between successive flow
+// arrivals anywhere in the cluster — Figure 11's "all flows" curve.
+func ClusterInterArrivals(records []trace.FlowRecord) []float64 {
+	starts := make([]netsim.Time, len(records))
+	for i, r := range records {
+		starts[i] = r.Start
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	return interArrivalsOf(starts)
+}
+
+// ServerInterArrivals returns gaps (ms) between successive flows from/to
+// each cluster server, pooled over servers — Figure 11's server curve.
+func ServerInterArrivals(records []trace.FlowRecord, top *topology.Topology) []float64 {
+	perServer := make(map[topology.ServerID][]netsim.Time)
+	add := func(s topology.ServerID, t netsim.Time) {
+		if !top.IsExternal(s) {
+			perServer[s] = append(perServer[s], t)
+		}
+	}
+	for _, r := range records {
+		add(r.Src, r.Start)
+		if r.Dst != r.Src {
+			add(r.Dst, r.Start)
+		}
+	}
+	// Pool per-server gap lists in server order so the slice (and every
+	// digest downstream of it) does not inherit map iteration order.
+	var out []float64
+	for _, s := range det.SortedKeys(perServer) {
+		starts := perServer[s]
+		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+		out = append(out, interArrivalsOf(starts)...)
+	}
+	return out
+}
+
+// TorInterArrivals returns gaps (ms) between successive flows traversing
+// each ToR switch (flows with at least one endpoint in the rack), pooled
+// over ToRs — Figure 11's ToR curve.
+func TorInterArrivals(records []trace.FlowRecord, top *topology.Topology) []float64 {
+	perTor := make(map[topology.RackID][]netsim.Time)
+	for _, r := range records {
+		rs, rd := top.Rack(r.Src), top.Rack(r.Dst)
+		if rs >= 0 {
+			perTor[rs] = append(perTor[rs], r.Start)
+		}
+		if rd >= 0 && rd != rs {
+			perTor[rd] = append(perTor[rd], r.Start)
+		}
+	}
+	// Same fixed pooling order as ServerInterArrivals, per ToR.
+	var out []float64
+	for _, tor := range det.SortedKeys(perTor) {
+		starts := perTor[tor]
+		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+		out = append(out, interArrivalsOf(starts)...)
+	}
+	return out
+}
+
+// ModeSpacing estimates the dominant periodic spacing (ms) in an
+// inter-arrival sample by histogramming gaps in [loMs, capMs) and
+// returning the most populated bin's center — used to verify the ~15 ms
+// stop-and-go modes of Figure 11. Pass loMs of a couple of milliseconds
+// to skip the batch of near-simultaneous flows a single application event
+// emits (connection setup, parallel pulls), which is a separate
+// phenomenon from the pacing-timer modes.
+func ModeSpacing(gapsMs []float64, loMs, capMs float64, bins int) float64 {
+	if len(gapsMs) == 0 || bins <= 0 || capMs <= loMs {
+		return 0
+	}
+	h := stats.NewHistogram(loMs, capMs, bins)
+	for _, g := range gapsMs {
+		h.Add(g)
+	}
+	return histogramMode(h)
 }

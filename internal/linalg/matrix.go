@@ -1,6 +1,7 @@
 // Package linalg provides the small dense linear algebra kernel used by the
-// tomography estimators: vectors, row-major matrices, LU and Cholesky
-// solves, and equality-constrained weighted least squares.
+// tomography estimators: row-major matrices, their compressed-sparse-column
+// index, and the equality-constrained weighted least squares projection
+// of tomogravity (a Cholesky solve inside).
 //
 // The matrices involved in datacenter tomography are modest (the constraint
 // matrix has one row per link counter — a few hundred rows — regardless of
@@ -35,24 +36,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Add increments element (i, j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
 
 // MulVec returns m·x. It panics on dimension mismatch.
 func (m *Matrix) MulVec(x []float64) []float64 {
@@ -91,42 +74,6 @@ func (m *Matrix) MulVecInto(dst, x []float64) {
 	}
 }
 
-// Mul returns m·b. It panics on dimension mismatch.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dim mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, v := range brow {
-				orow[j] += a * v
-			}
-		}
-	}
-	return out
-}
-
-// MulDiagRight returns m·diag(d): scales column j by d[j].
-func (m *Matrix) MulDiagRight(d []float64) *Matrix {
-	if len(d) != m.Cols {
-		panic("linalg: MulDiagRight dim mismatch")
-	}
-	out := m.Clone()
-	for i := 0; i < out.Rows; i++ {
-		for j := 0; j < out.Cols; j++ {
-			out.Data[i*out.Cols+j] *= d[j]
-		}
-	}
-	return out
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -139,25 +86,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY dim mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Norm1 returns the L1 norm of v.
 func Norm1(v []float64) float64 {
 	s := 0.0
@@ -165,37 +93,4 @@ func Norm1(v []float64) float64 {
 		s += math.Abs(x)
 	}
 	return s
-}
-
-// Scale returns alpha*v as a new vector.
-func Scale(alpha float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = alpha * x
-	}
-	return out
-}
-
-// Sub returns a-b as a new vector.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: Sub dim mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AddVec returns a+b as a new vector.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: AddVec dim mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }

@@ -9,110 +9,6 @@ import (
 // system.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// SolveLU solves a·x = b for square a using Gaussian elimination with
-// partial pivoting. a and b are not modified.
-func SolveLU(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		panic("linalg: SolveLU needs a square system")
-	}
-	// Augmented working copy.
-	m := a.Clone()
-	x := append([]float64(nil), b...)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p, best := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > best {
-				p, best = r, v
-			}
-		}
-		if best < 1e-300 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			for j := 0; j < n; j++ {
-				m.Data[col*n+j], m.Data[p*n+j] = m.Data[p*n+j], m.Data[col*n+j]
-			}
-			x[col], x[p] = x[p], x[col]
-		}
-		piv := m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) / piv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Data[r*n+j] -= f * m.Data[col*n+j]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
-}
-
-// SolveSPD solves a·x = b for a symmetric positive-definite a via Cholesky
-// factorization. A tiny ridge (lambda) may be passed to regularize
-// near-singular systems; pass 0 for none. a and b are not modified.
-func SolveSPD(a *Matrix, b []float64, lambda float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		panic("linalg: SolveSPD needs a square system")
-	}
-	// Cholesky: a = L·Lᵀ, L lower-triangular stored densely.
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			if i == j {
-				s += lambda
-			}
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrSingular
-				}
-				l.Set(i, j, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	// Forward solve L·y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Back solve Lᵀ·x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x, nil
-}
-
 // WLSProject solves the equality-constrained weighted least squares problem
 //
 //	minimize   Σ (x_j − g_j)² / w_j
@@ -238,9 +134,11 @@ func (ws *WLSWorkspace) Project(dst []float64, b, g, w []float64) ([]float64, er
 	return dst, nil
 }
 
-// solveSPD is SolveSPD with the factor and solve vectors taken from the
-// workspace. Loop structure is identical; only the storage is reused
+// solveSPD solves a·x = b for a symmetric positive-definite a by
+// Cholesky factorization (a = L·Lᵀ), adding the ridge lambda to the
+// diagonal, with the factor and solve vectors taken from the workspace
 // (stale upper-triangle entries of the previous factor are never read).
+// It returns ErrSingular on a non-positive pivot.
 func (ws *WLSWorkspace) solveSPD(a *Matrix, b []float64, lambda float64) ([]float64, error) {
 	n := a.Rows
 	l := ws.l

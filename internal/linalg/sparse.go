@@ -40,20 +40,6 @@ func NewCSC(m *Matrix) *CSC {
 	return c
 }
 
-// NNZ reports the number of stored entries.
-func (c *CSC) NNZ() int { return len(c.Val) }
-
-// Dense expands the index back into a dense Matrix.
-func (c *CSC) Dense() *Matrix {
-	m := NewMatrix(c.Rows, c.Cols)
-	for j := 0; j < c.Cols; j++ {
-		for t := c.ColPtr[j]; t < c.ColPtr[j+1]; t++ {
-			m.Set(int(c.RowIdx[t]), j, c.Val[t])
-		}
-	}
-	return m
-}
-
 // MulVecInto computes dst = A·x by column scatter. dst must have length
 // Rows; it is zeroed first. Note the accumulation order differs from the
 // dense row-major Matrix.MulVec (columns outer instead of inner), so the

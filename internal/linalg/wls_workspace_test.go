@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -108,4 +109,119 @@ func TestWLSWorkspaceSteadyStateAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Project allocates %v allocs/op in steady state", allocs)
 	}
+}
+
+// The dense kernels below serve only the reference: the workspace
+// reaches the same products through the CSC index.
+
+// SolveSPD solves a·x = b for a symmetric positive-definite a via Cholesky
+// factorization. A tiny ridge (lambda) may be passed to regularize
+// near-singular systems; pass 0 for none. a and b are not modified. It
+// is the reference's solve, and the one WLSWorkspace.solveSPD must match
+// loop for loop.
+func SolveSPD(a *Matrix, b []float64, lambda float64) ([]float64, error) {
+	n := a.Rows
+	if a.Cols != n || len(b) != n {
+		panic("linalg: SolveSPD needs a square system")
+	}
+	// Cholesky: a = L·Lᵀ, L lower-triangular stored densely.
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			s := a.At(i, j)
+			if i == j {
+				s += lambda
+			}
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			if i == j {
+				if s <= 0 {
+					return nil, ErrSingular
+				}
+				l.Set(i, j, math.Sqrt(s))
+			} else {
+				l.Set(i, j, s/l.At(j, j))
+			}
+		}
+	}
+	// Forward solve L·y = b.
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l.At(i, k) * y[k]
+		}
+		y[i] = s / l.At(i, i)
+	}
+	// Back solve Lᵀ·x = y.
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * x[k]
+		}
+		x[i] = s / l.At(i, i)
+	}
+	return x, nil
+}
+
+// T returns the transpose as a new matrix.
+func (m *Matrix) T() *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
+// Mul returns m·b. It panics on dimension mismatch.
+func (m *Matrix) Mul(b *Matrix) *Matrix {
+	if m.Cols != b.Rows {
+		panic(fmt.Sprintf("linalg: Mul dim mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
+	}
+	out := NewMatrix(m.Rows, b.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := 0; k < m.Cols; k++ {
+			a := m.At(i, k)
+			if a == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+			for j, v := range brow {
+				orow[j] += a * v
+			}
+		}
+	}
+	return out
+}
+
+// MulDiagRight returns m·diag(d): scales column j by d[j].
+func (m *Matrix) MulDiagRight(d []float64) *Matrix {
+	if len(d) != m.Cols {
+		panic("linalg: MulDiagRight dim mismatch")
+	}
+	out := NewMatrix(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	for i := 0; i < out.Rows; i++ {
+		for j := 0; j < out.Cols; j++ {
+			out.Data[i*out.Cols+j] *= d[j]
+		}
+	}
+	return out
+}
+
+// Sub returns a-b as a new vector.
+func Sub(a, b []float64) []float64 {
+	if len(a) != len(b) {
+		panic("linalg: Sub dim mismatch")
+	}
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] - b[i]
+	}
+	return out
 }

@@ -39,33 +39,11 @@ func BenchmarkServerMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkServerSeries measures 10s-binned series construction (the
-// Figure 10 path) over 100k records.
-func BenchmarkServerSeries(b *testing.B) {
-	records := benchRecords(100_000)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = ServerSeries(records, 84, 10*time.Second, time.Hour)
-	}
-}
-
-// BenchmarkNormalizedChange measures the Figure 10 change metric on
-// realistic sparse matrices.
-func BenchmarkNormalizedChange(b *testing.B) {
-	records := benchRecords(100_000)
-	series := ServerSeries(records, 84, 10*time.Second, time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ChangeSeries(series, 1)
-	}
-}
-
 // BenchmarkChangeRingPush measures Figure 10's online churn: an hour of
 // 10 s server matrices pushed through a ring at lags 1 and 10.
 func BenchmarkChangeRingPush(b *testing.B) {
 	records := benchRecords(100_000)
-	series := ServerSeries(records, 84, 10*time.Second, time.Hour)
+	series := binSeries(records, 84, 10*time.Second, time.Hour)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,6 @@ package tm
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // Matrix is a sparse n×n traffic matrix of byte counts.
@@ -82,80 +81,17 @@ func (m *Matrix) ForEach(fn func(src, dst int, bytes float64)) {
 	}
 }
 
-// RowSums returns per-source totals (traffic originated by each endpoint).
-func (m *Matrix) RowSums() []float64 {
-	out := make([]float64, m.n)
-	m.ForEach(func(s, _ int, b float64) { out[s] += b })
-	return out
-}
-
-// ColSums returns per-destination totals.
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.n)
-	m.ForEach(func(_, d int, b float64) { out[d] += b })
-	return out
-}
-
-// Values returns all non-zero entry values in descending order.
-func (m *Matrix) Values() []float64 {
-	out := make([]float64, 0, len(m.entries))
-	for _, v := range m.entries {
-		out = append(out, v)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.n)
-	for k, v := range m.entries {
-		c.entries[k] = v
-	}
-	return c
-}
-
-// Dense flattens the matrix row-major into a length n² slice.
-func (m *Matrix) Dense() []float64 {
-	out := make([]float64, m.n*m.n)
-	for k, v := range m.entries {
-		out[k] = v
-	}
-	return out
-}
-
-// FromDense builds a matrix from a row-major n² slice.
-func FromDense(n int, data []float64) *Matrix {
-	if len(data) != n*n {
-		panic("tm: dense data size mismatch")
-	}
-	m := NewMatrix(n)
-	for i, v := range data {
-		if v > 0 {
-			m.entries[int64(i)] = v
-		}
-	}
-	return m
-}
-
-// NormalizedChange is the paper's Figure 10 metric:
+// normalizedChange is the paper's Figure 10 metric,
 //
 //	|M(t+τ) − M(t)|₁ / |M(t)|₁
 //
 // the absolute sum of entry-wise differences normalized by the total
-// traffic of the earlier matrix. It returns 0 when the earlier matrix is
-// empty.
-func NormalizedChange(earlier, later *Matrix) float64 {
-	ek := earlier.sortedKeys()
-	return normalizedChange(earlier, later, ek, later.sortedKeys(), earlier.sum(ek))
-}
-
-// normalizedChange is NormalizedChange over keys already sorted: ek and
-// lk are earlier's and later's sortedKeys, and denom is earlier's Total.
-// ChangeRing calls it with keys sorted once per matrix.
+// traffic of the earlier matrix, or 0 when that total is 0. ek and lk
+// are earlier's and later's sortedKeys, and denom is earlier's Total:
+// ChangeRing sorts each matrix's keys once.
 func normalizedChange(earlier, later *Matrix, ek, lk []int64, denom float64) float64 {
 	if earlier.n != later.n {
-		panic("tm: NormalizedChange size mismatch")
+		panic("tm: normalized change size mismatch")
 	}
 	if denom == 0 {
 		return 0
@@ -170,29 +106,4 @@ func normalizedChange(earlier, later *Matrix, ek, lk []int64, denom float64) flo
 		}
 	}
 	return num / denom
-}
-
-// VolumeFraction reports the smallest number of entries whose sum reaches
-// the given fraction of total volume, and that count divided by the number
-// of possible off-diagonal entries n(n−1) — the sparsity measure of
-// Figures 13 and 14.
-func (m *Matrix) VolumeFraction(frac float64) (count int, fracOfEntries float64) {
-	total := m.Total()
-	if total == 0 {
-		return 0, 0
-	}
-	target := frac * total
-	sum := 0.0
-	for _, v := range m.Values() {
-		sum += v
-		count++
-		if sum >= target {
-			break
-		}
-	}
-	possible := m.n * (m.n - 1)
-	if possible == 0 {
-		possible = 1
-	}
-	return count, float64(count) / float64(possible)
 }

@@ -2,8 +2,8 @@ package tm
 
 // ChangeRing is the online accumulator behind Figure 10's
 // traffic-churn series: it consumes per-bin traffic matrices in bin
-// order and incrementally produces exactly what MagnitudeSeries plus
-// ChangeSeries(series, lag) would produce over the full matrix slice —
+// order and produces each bin's total (the top panel) and, per lag l,
+// the normalized change from bin j−l to bin j (the bottom panel) —
 // while retaining only the last max(lag) matrices in a ring instead of
 // the whole series. This is what lets a week-long streaming analysis
 // track TM churn without holding a week of matrices.
@@ -45,9 +45,10 @@ func NewChangeRing(lags ...int) *ChangeRing {
 	}
 }
 
-// Push appends the next bin's matrix. For each lag l with at least l
-// prior bins it appends NormalizedChange(bin[j-l], bin[j]) — the same
-// value at the same series index ChangeSeries computes offline.
+// Push appends the next bin's matrix j. For each lag l with at least l
+// prior bins it appends the normalized change from bin j−l to bin j,
+// |M(j) − M(j−l)|₁ / |M(j−l)|₁ (0 when bin j−l is empty), at series
+// index j−l.
 func (c *ChangeRing) Push(m *Matrix) {
 	j := c.n
 	keys := m.sortedKeys()
@@ -67,10 +68,9 @@ func (c *ChangeRing) Push(m *Matrix) {
 // N reports the number of bins pushed.
 func (c *ChangeRing) N() int { return c.n }
 
-// Magnitude returns the per-bin matrix totals, matching MagnitudeSeries.
+// Magnitude returns the per-bin matrix totals.
 func (c *ChangeRing) Magnitude() []float64 { return c.mags }
 
-// Changes returns the churn series for the i'th configured lag,
-// matching ChangeSeries(series, lags[i]). Nil when no bin pair has
-// spanned the lag yet.
+// Changes returns the churn series for the i'th configured lag. Nil
+// when no bin pair has spanned the lag yet.
 func (c *ChangeRing) Changes(i int) []float64 { return c.changes[i] }

@@ -76,9 +76,37 @@ func TestChangeRingShortSeries(t *testing.T) {
 	}
 }
 
-// normalizedChangeRef is NormalizedChange as it stood before ChangeRing
-// shared its loops, with its own key sort and total: an oracle that
-// shares no code with the ring.
+// MagnitudeSeries returns the total bytes of each matrix in a series —
+// the top panel of Figure 10 — the offline oracle of ChangeRing.Magnitude.
+func MagnitudeSeries(series []*Matrix) []float64 {
+	out := make([]float64, len(series))
+	for i, m := range series {
+		out[i] = m.Total()
+	}
+	return out
+}
+
+// ChangeSeries returns the normalized change from series[i] to
+// series[i+lag] for all valid i — the bottom panel of Figure 10 (lag 1
+// at a 10 s bin gives τ=10 s; lag 10 gives τ=100 s) — the offline
+// oracle of ChangeRing.Changes.
+func ChangeSeries(series []*Matrix, lag int) []float64 {
+	if lag <= 0 {
+		panic("tm: lag must be positive")
+	}
+	if len(series) <= lag {
+		return nil
+	}
+	out := make([]float64, 0, len(series)-lag)
+	for i := 0; i+lag < len(series); i++ {
+		out = append(out, normalizedChangeRef(series[i], series[i+lag]))
+	}
+	return out
+}
+
+// normalizedChangeRef is the Figure 10 metric as it stood before
+// ChangeRing shared its loops, with its own key sort and total: an
+// oracle that shares no code with the ring.
 func normalizedChangeRef(earlier, later *Matrix) float64 {
 	denom := totalRef(earlier)
 	if denom == 0 {

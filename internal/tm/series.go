@@ -63,53 +63,9 @@ func ServerMatrix(records []trace.FlowRecord, numHosts int, from, to netsim.Time
 	return m
 }
 
-// ServerMatrixView is ServerMatrix over an indexed record view: the
-// window's records are located in O(log n + |window|) instead of a full
-// scan. The per-record byte spreading is identical, and the view's
-// start order fixes the accumulation order, so two calls with the same
-// view and window are bit-identical regardless of the caller's
-// parallelism.
-func ServerMatrixView(v *trace.RecordView, numHosts int, from, to netsim.Time) *Matrix {
-	m := NewMatrix(numHosts)
-	bin := to - from
-	if bin <= 0 {
-		panic("tm: empty window")
-	}
-	v.Overlapping(from, to, func(r trace.FlowRecord) {
-		if int(r.Src) >= numHosts || int(r.Dst) >= numHosts {
-			return
-		}
-		spread(r, bin, from, to, func(_ int, b float64) {
-			m.Add(int(r.Src), int(r.Dst), b)
-		})
-	})
-	return m
-}
-
-// TorMatrixView is TorMatrix over an indexed record view (see
-// ServerMatrixView).
-func TorMatrixView(v *trace.RecordView, top *topology.Topology, from, to netsim.Time) *Matrix {
-	m := NewMatrix(top.NumRacks())
-	bin := to - from
-	if bin <= 0 {
-		panic("tm: empty window")
-	}
-	v.Overlapping(from, to, func(r trace.FlowRecord) {
-		rs, rd := top.Rack(r.Src), top.Rack(r.Dst)
-		if rs < 0 || rd < 0 || rs == rd {
-			return
-		}
-		spread(r, bin, from, to, func(_ int, b float64) {
-			m.Add(int(rs), int(rd), b)
-		})
-	})
-	return m
-}
-
 // SeriesBinWindow returns the [from, to) span of bin i in a series of
-// the given bin size clamped to horizon — the per-bin window that makes
-// ServerMatrixView(v, n, from, to) equal to ServerSeries' bin i (the
-// spreading arithmetic clamps identically at the horizon).
+// the given bin size clamped to horizon: the analysis sweep's Figure 10
+// and tomography windows.
 func SeriesBinWindow(i int, bin, horizon netsim.Time) (from, to netsim.Time) {
 	from = netsim.Time(i) * bin
 	to = from + bin
@@ -117,30 +73,6 @@ func SeriesBinWindow(i int, bin, horizon netsim.Time) (from, to netsim.Time) {
 		to = horizon
 	}
 	return from, to
-}
-
-// ServerSeries aggregates flow records into host-level TMs at fixed bins
-// covering [0, horizon).
-func ServerSeries(records []trace.FlowRecord, numHosts int, bin, horizon netsim.Time) []*Matrix {
-	if bin <= 0 || horizon <= 0 {
-		panic("tm: need positive bin and horizon")
-	}
-	nBins := int((horizon + bin - 1) / bin)
-	out := make([]*Matrix, nBins)
-	for i := range out {
-		out[i] = NewMatrix(numHosts)
-	}
-	for _, r := range records {
-		if int(r.Src) >= numHosts || int(r.Dst) >= numHosts {
-			continue
-		}
-		spread(r, bin, 0, horizon, func(idx int, b float64) {
-			if idx >= 0 && idx < nBins {
-				out[idx].Add(int(r.Src), int(r.Dst), b)
-			}
-		})
-	}
-	return out
 }
 
 // TorMatrix aggregates flow records into a ToR-to-ToR TM over [from, to).
@@ -185,33 +117,6 @@ func TorSeries(records []trace.FlowRecord, top *topology.Topology, bin, horizon 
 				out[idx].Add(int(rs), int(rd), b)
 			}
 		})
-	}
-	return out
-}
-
-// MagnitudeSeries returns the total bytes of each matrix in a series —
-// the top panel of Figure 10.
-func MagnitudeSeries(series []*Matrix) []float64 {
-	out := make([]float64, len(series))
-	for i, m := range series {
-		out[i] = m.Total()
-	}
-	return out
-}
-
-// ChangeSeries returns NormalizedChange(series[i], series[i+lag]) for all
-// valid i — the bottom panel of Figure 10 (lag 1 at a 10 s bin gives
-// τ=10 s; lag 10 gives τ=100 s).
-func ChangeSeries(series []*Matrix, lag int) []float64 {
-	if lag <= 0 {
-		panic("tm: lag must be positive")
-	}
-	if len(series) <= lag {
-		return nil
-	}
-	out := make([]float64, 0, len(series)-lag)
-	for i := 0; i+lag < len(series); i++ {
-		out = append(out, NormalizedChange(series[i], series[i+lag]))
 	}
 	return out
 }

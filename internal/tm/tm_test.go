@@ -1,7 +1,9 @@
 package tm
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,18 +27,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.NonZero() != 2 || m.Total() != 175 {
 		t.Fatalf("NonZero=%d Total=%v", m.NonZero(), m.Total())
 	}
-	rows := m.RowSums()
-	if rows[0] != 150 || rows[2] != 25 {
-		t.Fatalf("RowSums = %v", rows)
-	}
-	cols := m.ColSums()
-	if cols[1] != 150 || cols[3] != 25 {
-		t.Fatalf("ColSums = %v", cols)
-	}
-	vals := m.Values()
-	if len(vals) != 2 || vals[0] != 150 {
-		t.Fatalf("Values = %v", vals)
-	}
 }
 
 func TestMatrixOutOfRangePanics(t *testing.T) {
@@ -49,61 +39,43 @@ func TestMatrixOutOfRangePanics(t *testing.T) {
 	m.Add(2, 0, 1)
 }
 
-func TestDenseRoundTrip(t *testing.T) {
-	m := NewMatrix(3)
-	m.Add(0, 2, 7)
-	m.Add(1, 1, 3)
-	d := m.Dense()
-	back := FromDense(3, d)
-	if back.At(0, 2) != 7 || back.At(1, 1) != 3 || back.NonZero() != 2 {
-		t.Fatal("dense round trip broken")
-	}
+// change is the Figure 10 metric from earlier to later, as the
+// analysis computes it: one lag-1 ChangeRing step.
+func change(earlier, later *Matrix) float64 {
+	ring := NewChangeRing(1)
+	ring.Push(earlier)
+	ring.Push(later)
+	return ring.Changes(0)[0]
+}
+
+// clone copies m entry by entry.
+func clone(m *Matrix) *Matrix {
+	c := NewMatrix(m.N())
+	m.ForEach(func(src, dst int, bytes float64) { c.Add(src, dst, bytes) })
+	return c
 }
 
 func TestNormalizedChange(t *testing.T) {
 	a := NewMatrix(3)
 	a.Add(0, 1, 100)
-	b := a.Clone()
-	if NormalizedChange(a, b) != 0 {
+	if change(a, clone(a)) != 0 {
 		t.Fatal("identical matrices should have zero change")
 	}
 	// Same total, different participants: change = 200/100 = 2.
 	c := NewMatrix(3)
 	c.Add(1, 2, 100)
-	if got := NormalizedChange(a, c); got != 2 {
+	if got := change(a, c); got != 2 {
 		t.Fatalf("participant flux change = %v, want 2", got)
 	}
 	// Doubling: |200-100|/100 = 1.
 	d := NewMatrix(3)
 	d.Add(0, 1, 200)
-	if got := NormalizedChange(a, d); got != 1 {
+	if got := change(a, d); got != 1 {
 		t.Fatalf("doubling change = %v, want 1", got)
 	}
 	var empty = NewMatrix(3)
-	if NormalizedChange(empty, a) != 0 {
+	if change(empty, a) != 0 {
 		t.Fatal("empty baseline should yield 0")
-	}
-}
-
-func TestVolumeFraction(t *testing.T) {
-	m := NewMatrix(10)
-	m.Add(0, 1, 75)
-	m.Add(1, 2, 10)
-	m.Add(2, 3, 10)
-	m.Add(3, 4, 5)
-	count, frac := m.VolumeFraction(0.75)
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (single 75%% entry)", count)
-	}
-	if math.Abs(frac-1.0/90) > 1e-12 {
-		t.Fatalf("frac = %v, want 1/90", frac)
-	}
-	if c, _ := m.VolumeFraction(1.0); c != 4 {
-		t.Fatalf("full volume needs %d entries, want 4", c)
-	}
-	empty := NewMatrix(3)
-	if c, f := empty.VolumeFraction(0.75); c != 0 || f != 0 {
-		t.Fatal("empty matrix volume fraction should be 0")
 	}
 }
 
@@ -129,12 +101,24 @@ func TestServerMatrixWindow(t *testing.T) {
 	}
 }
 
+// binSeries aggregates records into host-level TMs at fixed bins
+// covering [0, horizon), one ServerMatrix per SeriesBinWindow: Figure
+// 10's bins as the analysis sweep builds them.
+func binSeries(records []trace.FlowRecord, numHosts int, bin, horizon netsim.Time) []*Matrix {
+	out := make([]*Matrix, int((horizon+bin-1)/bin))
+	for i := range out {
+		from, to := SeriesBinWindow(i, bin, horizon)
+		out[i] = ServerMatrix(records, numHosts, from, to)
+	}
+	return out
+}
+
 func TestServerSeriesSpreading(t *testing.T) {
 	records := []trace.FlowRecord{
 		rec(0, 1, 300, 0, 30*time.Second),
 		rec(1, 2, 50, 35*time.Second, 35*time.Second), // instantaneous
 	}
-	series := ServerSeries(records, 5, 10*time.Second, 40*time.Second)
+	series := binSeries(records, 5, 10*time.Second, 40*time.Second)
 	if len(series) != 4 {
 		t.Fatalf("series length %d, want 4", len(series))
 	}
@@ -159,7 +143,7 @@ func TestSeriesConservesBytes(t *testing.T) {
 		records = append(records, rec(topology.ServerID(r.IntN(8)), topology.ServerID(r.IntN(8)), b, start, start+dur))
 		want += float64(b)
 	}
-	series := ServerSeries(records, 8, 10*time.Second, 200*time.Second)
+	series := binSeries(records, 8, 10*time.Second, 200*time.Second)
 	got := 0.0
 	for _, m := range series {
 		got += m.Total()
@@ -275,9 +259,8 @@ func TestSummarizePatterns(t *testing.T) {
 	}
 }
 
-// Property: NormalizedChange is 0 for identical matrices, symmetric in
-// support, and equals 2 when matrices have equal totals and disjoint
-// support.
+// Property: the normalized change is 0 for identical matrices and
+// equals 2 when matrices have equal totals and disjoint support.
 func TestNormalizedChangeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
@@ -296,13 +279,92 @@ func TestNormalizedChangeProperty(t *testing.T) {
 			v := remaining / 4
 			b.Add(n/2+r.IntN(n-n/2), r.IntN(n), v)
 		}
-		if NormalizedChange(a, a.Clone()) != 0 {
+		if change(a, clone(a)) != 0 {
 			return false
 		}
-		got := NormalizedChange(a, b)
+		got := change(a, b)
 		return math.Abs(got-2) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// windowFixture builds a canonical-order record set, some records
+// instantaneous, and a WindowView holding all of it, sealed at horizon.
+func windowFixture(t *testing.T, n int, horizon netsim.Time) ([]trace.FlowRecord, *trace.WindowView, *topology.Topology) {
+	t.Helper()
+	top := topology.MustNew(topology.SmallConfig())
+	rng := stats.NewRNG(11).Fork("tm_view_test")
+	recs := make([]trace.FlowRecord, n)
+	for i := range recs {
+		start := netsim.Time(rng.Float64() * float64(horizon))
+		var dur netsim.Time
+		if rng.IntN(5) > 0 { // leave some instantaneous records
+			dur = netsim.Time(rng.Float64() * float64(time.Minute))
+		}
+		recs[i] = trace.FlowRecord{
+			ID:    netsim.FlowID(i),
+			Src:   topology.ServerID(rng.IntN(top.NumHosts())),
+			Dst:   topology.ServerID(rng.IntN(top.NumHosts())),
+			Start: start,
+			End:   start + dur,
+			Bytes: int64(1 + rng.IntN(1<<24)),
+		}
+	}
+	slices.SortFunc(recs, func(a, b trace.FlowRecord) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	wv := trace.NewWindowView()
+	for _, r := range recs {
+		if err := wv.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wv.Seal(horizon)
+	return recs, wv, top
+}
+
+// matricesIdentical demands bit-identical entries.
+func matricesIdentical(t *testing.T, name string, got, want *Matrix) {
+	t.Helper()
+	if got.N() != want.N() || got.NonZero() != want.NonZero() {
+		t.Fatalf("%s: shape %d/%d entries, want %d/%d", name, got.N(), got.NonZero(), want.N(), want.NonZero())
+	}
+	want.ForEach(func(src, dst int, bytes float64) {
+		if g := got.At(src, dst); g != bytes {
+			t.Fatalf("%s: entry (%d,%d) = %v, want %v", name, src, dst, g, bytes)
+		}
+	})
+}
+
+// ServerMatrix over a window's WindowView slice — how the analysis
+// sweep builds every server TM — must equal ServerMatrix over the whole
+// record set, bit for bit: the slice drops no record that carries bytes
+// into the window and keeps the canonical accumulation order.
+func TestServerMatrixViewMatchesFullScan(t *testing.T) {
+	horizon := netsim.Time(10 * time.Minute)
+	recs, wv, top := windowFixture(t, 4000, horizon)
+	windows := [][2]netsim.Time{
+		{0, horizon},
+		{horizon / 2, horizon/2 + 10*time.Second},
+		{horizon - time.Second, horizon},
+		{horizon / 3, horizon/3 + time.Minute},
+	}
+	for _, w := range windows {
+		got := ServerMatrix(wv.Slice(w[0], w[1]), top.NumHosts(), w[0], w[1])
+		want := ServerMatrix(recs, top.NumHosts(), w[0], w[1])
+		matricesIdentical(t, "server", got, want)
+	}
+}
+
+// The same for TorMatrix, the tomography windows' ground truth.
+func TestTorMatrixViewMatchesFullScan(t *testing.T) {
+	horizon := netsim.Time(10 * time.Minute)
+	recs, wv, top := windowFixture(t, 4000, horizon)
+	from, to := horizon/4, horizon/4+30*time.Second
+	matricesIdentical(t, "tor", TorMatrix(wv.Slice(from, to), top, from, to), TorMatrix(recs, top, from, to))
 }

@@ -70,7 +70,8 @@ func TestLinkCountsConsistency(t *testing.T) {
 	truth := randomTorTM(top, 1)
 	b := p.LinkCounts(truth)
 	// Each ToR uplink must equal the row sum of that rack.
-	rows := truth.RowSums()
+	rows := make([]float64, truth.N())
+	truth.ForEach(func(src, _ int, bytes float64) { rows[src] += bytes })
 	for rk := 0; rk < top.NumRacks(); rk++ {
 		row := p.rowOfLink[top.TorUplink(topology.RackID(rk))]
 		if math.Abs(b[row]-rows[rk]) > 1e-6 {

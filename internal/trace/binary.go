@@ -158,37 +158,3 @@ func (r *BinaryReader) Read() (FlowRecord, error) {
 	r.n++
 	return rec, nil
 }
-
-// WriteBinary writes a fully-materialized record slice in the binary
-// trace format — a convenience over BinaryWriter.
-func WriteBinary(w io.Writer, records []FlowRecord) error {
-	bw, err := NewBinaryWriter(w)
-	if err != nil {
-		return err
-	}
-	for i := range records {
-		if err := bw.Write(&records[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses an entire binary flow-record stream into memory — a
-// convenience over BinaryReader.
-func ReadBinary(r io.Reader) ([]FlowRecord, error) {
-	br, err := NewBinaryReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []FlowRecord
-	for {
-		rec, err := br.Read()
-		if err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-}

@@ -138,3 +138,36 @@ func FuzzReadBinary(f *testing.F) {
 		}
 	})
 }
+
+// WriteBinary writes records through a BinaryWriter: the round-trip
+// helper of the codec tests and benchmarks.
+func WriteBinary(w io.Writer, records []FlowRecord) error {
+	bw, err := NewBinaryWriter(w)
+	if err != nil {
+		return err
+	}
+	for i := range records {
+		if err := bw.Write(&records[i]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// ReadBinary drains a BinaryReader into memory.
+func ReadBinary(r io.Reader) ([]FlowRecord, error) {
+	br, err := NewBinaryReader(r)
+	if err != nil {
+		return nil, err
+	}
+	var out []FlowRecord
+	for {
+		rec, err := br.Read()
+		if err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+}

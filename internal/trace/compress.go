@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -20,41 +19,6 @@ const compressBatch = 1024
 // errMeterStopped is the result of a measurement abandoned by
 // Collector.StopCompressionMeter.
 var errMeterStopped = errors.New("trace: compression meter stopped")
-
-// WriteJSONLGz streams records as gzip-compressed JSON lines — the
-// "compress the logs prior to uploading" step of §2 — and returns the
-// uncompressed and compressed byte counts so callers can verify the
-// paper's ≥3× reduction on real data rather than assuming it.
-func WriteJSONLGz(w io.Writer, records []FlowRecord) (raw, compressed int64, err error) {
-	enc := newGzEncoder(w)
-	for i := range records {
-		if err := enc.encode(&records[i]); err != nil {
-			return 0, 0, err
-		}
-	}
-	return enc.close()
-}
-
-// ReadJSONLGz parses a gzip-compressed JSONL flow-record stream.
-func ReadJSONLGz(r io.Reader) ([]FlowRecord, error) {
-	gz, err := gzip.NewReader(bufio.NewReader(r))
-	if err != nil {
-		return nil, fmt.Errorf("trace: open gzip: %w", err)
-	}
-	defer gz.Close()
-	return ReadJSONL(gz)
-}
-
-// MeasureCompression compresses the records to a byte sink and reports
-// the achieved ratio (raw/compressed). It is the batch form of the
-// collector's streamed measurement, which must match it bit for bit.
-func MeasureCompression(records []FlowRecord) (ratio float64, err error) {
-	raw, comp, err := WriteJSONLGz(io.Discard, records)
-	if err != nil {
-		return 0, err
-	}
-	return compressionRatio(raw, comp), nil
-}
 
 func compressionRatio(raw, comp int64) float64 {
 	if comp == 0 {

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,6 +34,32 @@ func sampleRecords(n int) []FlowRecord {
 	return out
 }
 
+// WriteJSONLGz streams records as gzip-compressed JSON lines through
+// the compression meter's encoder and returns the uncompressed and
+// compressed byte counts: the .gz fixture writer.
+func WriteJSONLGz(w io.Writer, records []FlowRecord) (raw, compressed int64, err error) {
+	enc := newGzEncoder(w)
+	for i := range records {
+		if err := enc.encode(&records[i]); err != nil {
+			return 0, 0, err
+		}
+	}
+	return enc.close()
+}
+
+// MeasureCompression compresses the records to a byte sink and reports
+// the achieved ratio (raw/compressed): the batch oracle the collector's
+// streamed measurement must match bit for bit.
+func MeasureCompression(records []FlowRecord) (ratio float64, err error) {
+	raw, comp, err := WriteJSONLGz(io.Discard, records)
+	if err != nil {
+		return 0, err
+	}
+	return compressionRatio(raw, comp), nil
+}
+
+// TestGzRoundTrip: a .gz trace written by WriteJSONLGz reads back
+// through OpenFile, the path dcanalyze -trace takes.
 func TestGzRoundTrip(t *testing.T) {
 	recs := sampleRecords(500)
 	var buf bytes.Buffer
@@ -41,17 +70,18 @@ func TestGzRoundTrip(t *testing.T) {
 	if raw <= 0 || comp <= 0 || int64(buf.Len()) != comp {
 		t.Fatalf("raw=%d comp=%d buf=%d", raw, comp, buf.Len())
 	}
-	back, err := ReadJSONLGz(&buf)
+	path := filepath.Join(t.TempDir(), "trace.jsonl.gz")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenFile(path, FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(recs) {
-		t.Fatalf("got %d records back, want %d", len(back), len(recs))
-	}
-	for i := range recs {
-		if back[i] != recs[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
+	defer src.Close()
+	back := drain(t, src)
+	if !reflect.DeepEqual(back, canonicalCopy(recs)) {
+		t.Fatalf("got %d records back, want %d in canonical order", len(back), len(recs))
 	}
 }
 
@@ -79,7 +109,12 @@ func TestMeasureCompressionEmpty(t *testing.T) {
 }
 
 func TestReadJSONLGzBadInput(t *testing.T) {
-	if _, err := ReadJSONLGz(strings.NewReader("not gzip")); err == nil {
+	path := filepath.Join(t.TempDir(), "trace.jsonl.gz")
+	if err := os.WriteFile(path, []byte("not gzip"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if src, err := OpenFile(path, FileOptions{}); err == nil {
+		src.Close()
 		t.Fatal("expected gzip header error")
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Source is a stream of flow records in canonical order: nondecreasing
-// (Start, ID), the same total order RecordView sorts into (FlowIDs are
+// (Start, ID), the order WindowView.Append enforces (FlowIDs are
 // unique, so the order is strict). Next returns io.EOF after the last
 // record. Analysis consumes a Source exactly once, front to back, which
 // is what lets the pipeline run in O(window) memory instead of
@@ -31,9 +31,9 @@ func recordLess(a, b *FlowRecord) bool {
 
 // SliceSource streams an in-memory record slice in canonical order.
 // It is the adapter between the existing Collector/RunResult world and
-// the streaming pipeline: NewSliceSource sorts a copy exactly the way
-// NewRecordView does, so a slice-backed analysis and a file-backed one
-// see the identical record sequence.
+// the streaming pipeline: NewSliceSource sorts a copy by recordLess, as
+// FileSource sorts its chunks, so a slice-backed analysis and a
+// file-backed one see the identical record sequence.
 type SliceSource struct {
 	recs []FlowRecord
 	i    int
@@ -56,9 +56,6 @@ func (s *SliceSource) Next() (FlowRecord, error) {
 	s.i++
 	return r, nil
 }
-
-// Len reports the total number of records in the source.
-func (s *SliceSource) Len() int { return len(s.recs) }
 
 // FileOptions tunes FileSource's external sort.
 type FileOptions struct {

@@ -7,15 +7,14 @@ import (
 	"dctraffic/internal/netsim"
 )
 
-// WindowView is the sliding-window counterpart of RecordView: it holds
-// only the records that windows not yet retired can still reach, and it
-// exposes the identical O(log n + |window|) slicing contract over that
-// buffer. The analysis sweep Appends records in canonical (Start, ID)
-// order as the source delivers them, Seals the delivery watermark up
-// to each window boundary, computes each closing figure window from
-// its own Slice copy, and Retires everything older than the earliest
-// window still open — which is what makes whole-trace analysis O(max
-// window span), not O(trace).
+// WindowView is the analysis sweep's record buffer: it holds only the
+// records that windows not yet retired can still reach, and slices a
+// window out of that buffer in O(log n + |window|). The sweep Appends
+// records in canonical (Start, ID) order as the source delivers them,
+// Seals the delivery watermark up to each window boundary, computes
+// each closing figure window from its own Slice copy, and Retires
+// everything older than the earliest window still open — which is what
+// makes whole-trace analysis O(max window span), not O(trace).
 //
 // The contract is enforced, not advisory: slicing a window that
 // reaches below the retirement watermark or past the delivery
@@ -78,10 +77,10 @@ func (w *WindowView) Seal(t netsim.Time) {
 }
 
 // overlapRange computes the buffer index range that can overlap
-// [from, to), exactly as RecordView does: hi is the first record with
-// Start >= to; lo starts at the first index whose running max-End
-// exceeds from, clamped down to the first Start >= from so
-// instantaneous records at the boundary are not skipped.
+// [from, to): hi is the first record with Start >= to; lo starts at the
+// first index whose running max-End exceeds from, clamped down to the
+// first Start >= from so instantaneous records at the boundary are not
+// skipped.
 func (w *WindowView) overlapRange(from, to netsim.Time) (lo, hi int) {
 	hi = sort.Search(len(w.recs), func(i int) bool { return w.recs[i].Start >= to })
 	lo = sort.Search(hi, func(i int) bool { return w.maxEnd[i] > from })
@@ -101,9 +100,11 @@ func (w *WindowView) checkWindow(from, to netsim.Time) {
 	}
 }
 
-// overlaps reports whether r is active in [from, to), matching
-// RecordView.Overlapping's filter (instantaneous records count in the
-// window containing their start).
+// overlaps reports whether r is active in [from, to): it starts before
+// to and ends after from; an instantaneous record counts in the window
+// containing its start. These are exactly the records a
+// windowed aggregation (tm.ServerMatrix's byte spreading) draws bytes
+// from.
 func overlaps(r *FlowRecord, from, to netsim.Time) bool {
 	if r.Start >= to {
 		return false
@@ -111,22 +112,9 @@ func overlaps(r *FlowRecord, from, to netsim.Time) bool {
 	return r.End > from || (r.End == r.Start && r.Start >= from)
 }
 
-// Overlapping calls fn for every record overlapping [from, to), in
-// canonical order. The window must satisfy low <= from and to <= high.
-func (w *WindowView) Overlapping(from, to netsim.Time, fn func(FlowRecord)) {
-	w.checkWindow(from, to)
-	lo, hi := w.overlapRange(from, to)
-	for i := lo; i < hi; i++ {
-		if overlaps(&w.recs[i], from, to) {
-			fn(w.recs[i])
-		}
-	}
-}
-
 // Slice returns a fresh copy of the records overlapping [from, to), in
-// canonical order. A copy stays valid after retirement and compaction,
-// so a window can be parked and computed later (fused tomography waits
-// for the run to drain).
+// canonical order. The window must satisfy low <= from and to <= high.
+// The copy stays valid after retirement and compaction.
 func (w *WindowView) Slice(from, to netsim.Time) []FlowRecord {
 	w.checkWindow(from, to)
 	lo, hi := w.overlapRange(from, to)
@@ -192,9 +180,3 @@ func (w *WindowView) Delivered() int64 { return w.delivered }
 
 // Retired reports the records dropped by compaction so far.
 func (w *WindowView) Retired() int64 { return w.retired }
-
-// Low returns the retirement watermark.
-func (w *WindowView) Low() netsim.Time { return w.low }
-
-// High returns the delivery watermark.
-func (w *WindowView) High() netsim.Time { return w.high }

@@ -1,11 +1,53 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"dctraffic/internal/netsim"
+	"dctraffic/internal/stats"
+	"dctraffic/internal/topology"
 )
+
+// randomRecords builds a record set with the shapes that stress the
+// index: long flows spanning many windows, instantaneous records, flows
+// touching external hosts, and duplicate start times.
+func randomRecords(t *testing.T, top *topology.Topology, n int, horizon netsim.Time) []FlowRecord {
+	t.Helper()
+	rng := stats.NewRNG(42).Fork("view_test")
+	hosts := top.NumHosts()
+	out := make([]FlowRecord, n)
+	for i := range out {
+		start := netsim.Time(rng.Float64() * float64(horizon))
+		var dur netsim.Time
+		switch rng.IntN(4) {
+		case 0: // instantaneous
+		case 1: // long-lived
+			dur = netsim.Time(rng.Float64() * float64(horizon) / 4)
+		default: // short
+			dur = netsim.Time(rng.Float64() * float64(10*time.Second))
+		}
+		out[i] = FlowRecord{
+			ID:    netsim.FlowID(i),
+			Src:   topology.ServerID(rng.IntN(hosts)),
+			Dst:   topology.ServerID(rng.IntN(hosts)),
+			Start: start,
+			End:   start + dur,
+			Bytes: int64(rng.IntN(1 << 20)),
+		}
+	}
+	return out
+}
+
+func testTopology(t *testing.T) *topology.Topology {
+	t.Helper()
+	top, err := topology.New(topology.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
 
 // feedWindow appends records (canonically sorted) and seals up to t.
 func feedWindow(t *testing.T, w *WindowView, recs []FlowRecord, seal netsim.Time) {
@@ -18,40 +60,93 @@ func feedWindow(t *testing.T, w *WindowView, recs []FlowRecord, seal netsim.Time
 	w.Seal(seal)
 }
 
-// WindowView.Overlapping must agree with RecordView.Overlapping —
-// identical record sequence for every window — since windowed figure
-// tasks were rebased from the one onto the other.
-func TestWindowViewMatchesRecordView(t *testing.T) {
+// overlapScan is the brute-force reference for WindowView.Slice: every
+// record of recs (canonically sorted) that starts before to and either
+// ends after from or is instantaneous with its start in [from, to).
+func overlapScan(recs []FlowRecord, from, to netsim.Time) []FlowRecord {
+	var out []FlowRecord
+	for _, r := range recs {
+		if r.Start < to && (r.End > from || (r.End == r.Start && r.Start >= from)) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// sameRecords fails t unless got and want hold the same records in the
+// same order.
+func sameRecords(t *testing.T, label string, got, want []FlowRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d is %d, want %d (order or membership mismatch)", label, i, got[i].ID, want[i].ID)
+		}
+	}
+}
+
+// With every record delivered, Slice must agree with the brute-force
+// scan — membership and canonical order — for every window, including
+// windows past the data, empty ones and one that starts at a lone
+// instantaneous record.
+func TestViewOverlappingMatchesNaiveFilter(t *testing.T) {
 	top := testTopology(t)
 	horizon := netsim.Time(10 * time.Minute)
-	recs := randomRecords(t, top, 5000, horizon)
-	rv := NewRecordView(recs, top)
+	// The last record is instantaneous and starts after every other
+	// record has ended: a window starting at it finds it only through
+	// overlapRange's clamp to the first Start >= from.
+	lone := FlowRecord{ID: 1 << 40, Start: 2 * horizon, End: 2 * horizon}
+	recs := canonicalCopy(append(randomRecords(t, top, 5000, horizon), lone))
 	wv := NewWindowView()
-	feedWindow(t, wv, recs, horizon*2)
+	feedWindow(t, wv, recs, 2*horizon+netsim.Time(time.Minute))
 
 	windows := [][2]netsim.Time{
 		{0, horizon},
 		{0, netsim.Time(time.Second)},
 		{horizon / 2, horizon/2 + netsim.Time(10*time.Second)},
-		{horizon - netsim.Time(time.Minute), horizon},
-		{horizon / 3, horizon / 2},
+		{horizon - netsim.Time(time.Second), horizon},
+		{horizon, horizon + netsim.Time(time.Minute)}, // beyond the data
+		{horizon / 3, horizon / 3},                    // empty window
+		{lone.Start, lone.Start + netsim.Time(time.Minute)},
 	}
-	for _, win := range windows {
-		var want, got []FlowRecord
-		rv.Overlapping(win[0], win[1], func(r FlowRecord) { want = append(want, r) })
-		wv.Overlapping(win[0], win[1], func(r FlowRecord) { got = append(got, r) })
-		if len(want) != len(got) {
-			t.Fatalf("window [%v,%v): %d records via WindowView, want %d", win[0], win[1], len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("window [%v,%v): record %d mismatch", win[0], win[1], i)
+	rng := stats.NewRNG(7).Fork("windows")
+	for i := 0; i < 50; i++ {
+		from := netsim.Time(rng.Float64() * float64(horizon))
+		windows = append(windows, [2]netsim.Time{from, from + netsim.Time(rng.Float64()*float64(time.Minute))})
+	}
+	for _, w := range windows {
+		sameRecords(t, fmt.Sprintf("window [%v, %v)", w[0], w[1]), wv.Slice(w[0], w[1]), overlapScan(recs, w[0], w[1]))
+	}
+}
+
+// The view driven the way the analysis sweep drives it — deliver up to
+// a boundary, seal, slice the window closing there, retire below the
+// next window's start — must slice every window exactly as the
+// brute-force scan over the whole record set does, record for record,
+// across compactions.
+func TestWindowViewMatchesRecordView(t *testing.T) {
+	top := testTopology(t)
+	horizon := netsim.Time(10 * time.Minute)
+	recs := canonicalCopy(randomRecords(t, top, 20000, horizon))
+	step := netsim.Time(20 * time.Second)
+	span := 3 * step
+	wv := NewWindowView()
+	next := 0
+	for to := step; to <= horizon; to += step {
+		for ; next < len(recs) && recs[next].Start < to; next++ {
+			if err := wv.Append(recs[next]); err != nil {
+				t.Fatal(err)
 			}
 		}
-		slice := wv.Slice(win[0], win[1])
-		if len(slice) != len(want) {
-			t.Fatalf("Slice [%v,%v): %d records, want %d", win[0], win[1], len(slice), len(want))
-		}
+		wv.Seal(to)
+		from := max(0, to-span)
+		sameRecords(t, fmt.Sprintf("window [%v, %v)", from, to), wv.Slice(from, to), overlapScan(recs, from, to))
+		wv.Retire(max(0, to+step-span))
+	}
+	if wv.Retired() == 0 {
+		t.Fatal("no compaction ran: the slices never read a compacted buffer")
 	}
 }
 
@@ -76,19 +171,8 @@ func TestWindowViewRetirementContract(t *testing.T) {
 		t.Fatal("no records reported retired")
 	}
 
-	// Windows at or above the watermark still work and match a fresh view.
-	rv := NewRecordView(recs, top)
-	var want, got []FlowRecord
-	rv.Overlapping(mid, horizon, func(r FlowRecord) { want = append(want, r) })
-	wv.Overlapping(mid, horizon, func(r FlowRecord) { got = append(got, r) })
-	if len(want) != len(got) {
-		t.Fatalf("post-retirement window: %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("post-retirement window: record %d mismatch", i)
-		}
-	}
+	// Windows at or above the watermark still match the full scan.
+	sameRecords(t, "post-retirement window", wv.Slice(mid, horizon), overlapScan(canonicalCopy(recs), mid, horizon))
 
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
