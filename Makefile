@@ -57,7 +57,10 @@ test-short:
 # with and without a weight column; and the unit-weight CDF store
 # (direct, through a small-cap StreamCDF and through MergeCDF) against
 # the always-weighted CDF it replaced, bit for bit up to the sign of a
-# zero.
+# zero; and the online congestion episode tracker, on random bin series
+# and frontier schedules, against the one-pass scan of the finished
+# bins, with every record joined at its own frontier getting the overlap
+# bit and attribution terms of a join against the final index.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONLGz$$' -fuzztime 10s ./internal/trace
@@ -65,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLiveSourceOrder$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSortSamples$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzCDFWeights$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzEpisodeTracker$$' -fuzztime 10s ./internal/congestion
 
 # End-to-end observability smoke test: a short SmallRun-shaped dcsim
 # with -progress and -metrics, then dcmetrics asserts the snapshot

@@ -155,29 +155,51 @@ func BenchmarkFig6CongestionDurations(b *testing.B) {
 	b.ReportMetric(rep.Fig6.LongestSec, "longest-s")
 }
 
+// closedTracker scans the run's finished link bins, as the sweep does
+// for a completed run.
+func closedTracker(rr *core.RunResult) *congestion.EpisodeTracker {
+	tr := congestion.NewEpisodeTracker(rr.Net.Stats(), rr.Top, 0, rr.Top.InterSwitchLinks())
+	tr.Close()
+	return tr
+}
+
 func BenchmarkFig7CongestedFlowRates(b *testing.B) {
 	rr, rep := benchSetup(b)
 	recs := canonicalRecords(b, rr)
-	idx := congestion.NewEpisodeIndex(congestion.Detect(rr.Net.Stats(), rr.Top, 0, rr.Top.InterSwitchLinks()))
+	idx := closedTracker(rr).Index()
 	b.ResetTimer()
-	var overlap, all *stats.CDF
+	var j *congestion.RecordJoin
 	for i := 0; i < b.N; i++ {
-		overlap, all = congestion.OverlapRateCDFsIndexed(recs, idx, rr.Top)
+		j = congestion.NewRecordJoin(idx, rr.Top, 0)
+		for k := range recs {
+			j.Join(&recs[k])
+		}
 	}
-	// Below the sample cap the report's chunk-merged CDFs are exact, so
-	// their medians equal these.
-	sameMetric(b, overlap.Quantile(0.5), rep.Fig7.MedianOverlapMbps, "median-overlap-mbps")
-	sameMetric(b, all.Quantile(0.5), rep.Fig7.MedianAllMbps, "median-all-mbps")
+	sameMetric(b, j.Overlap.Quantile(0.5), rep.Fig7.MedianOverlapMbps, "median-overlap-mbps")
+	sameMetric(b, j.All.Quantile(0.5), rep.Fig7.MedianAllMbps, "median-all-mbps")
 }
 
 func BenchmarkFig8ReadFailureImpact(b *testing.B) {
 	rr, rep := benchSetup(b)
-	eps := congestion.Detect(rr.Net.Stats(), rr.Top, 0, rr.Top.InterSwitchLinks())
-	period := rr.Config.Duration / 8
-	for i := 0; i < b.N; i++ {
-		_ = congestion.ReadFailureImpact(rr.Log, rr.Records(), eps, rr.Top, period, 8)
+	recs := canonicalRecords(b, rr)
+	j := congestion.NewRecordJoin(closedTracker(rr).Index(), rr.Top, 0)
+	for k := range recs {
+		j.Join(&recs[k])
 	}
-	b.ReportMetric(rep.Fig8.MedianIncreasePct, "median-increase-pct")
+	period := rep.Fig8.Period
+	periods := max(int(rr.Config.Duration/period), 1)
+	b.ResetTimer()
+	var days []congestion.DayImpact
+	for i := 0; i < b.N; i++ {
+		days = j.ReadFailureImpact(rr.Log, period, periods)
+	}
+	var increases []float64
+	for _, d := range days {
+		if d.CongestedReads > 0 && d.ClearReads > 0 {
+			increases = append(increases, d.IncreasePct)
+		}
+	}
+	sameMetric(b, stats.Median(increases), rep.Fig8.MedianIncreasePct, "median-increase-pct")
 }
 
 func BenchmarkFig9FlowDurations(b *testing.B) {

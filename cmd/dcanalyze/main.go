@@ -21,8 +21,8 @@
 // pipeline: the analysis sweep pulls completed flows through a
 // watermarked reorder buffer and steps the simulator whenever it needs
 // more, producing the full figure set bit-identically to the two-phase
-// default without materializing and sorting the record log first, while
-// the §2 compression meter runs alongside. -metrics writes the run's
+// default without keeping a record log, while the §2 compression meter
+// runs alongside. -metrics writes the run's
 // final observability snapshot (including the fused seam's trace.live.*
 // series) as JSON:
 //
@@ -55,7 +55,7 @@ func main() {
 	duration := flag.Duration("duration", 2*time.Hour, "instrumented window")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	traceFile := flag.String("trace", "", "stream this dcsim trace through the analysis instead of simulating")
-	fused := flag.Bool("fused", false, "interleave simulation and analysis in one fused pipeline (identical figures, no sorted copy of the record log)")
+	fused := flag.Bool("fused", false, "interleave simulation and analysis in one fused pipeline (identical figures; no record log is kept)")
 	metricsOut := flag.String("metrics", "", "write the run's final metrics snapshot as JSON to this file (simulating modes only)")
 	heat := flag.Bool("heat", false, "print the Figure 2 ASCII heat map")
 	tsvDir := flag.String("tsv", "", "also write every figure's data series as TSV files into this directory")

@@ -30,9 +30,9 @@
 //
 // RunAnalyze fuses the two phases on the caller's goroutine: the
 // analysis pulls records through a watermarked reorder buffer and steps
-// the simulation whenever it needs more, so record-derived figure work
-// interleaves with the simulation and the trace is never re-sorted into
-// a second copy — same report, bit for bit:
+// the simulation whenever it needs more, so figure work interleaves
+// with the simulation and no record log is kept — same report, bit for
+// bit:
 //
 //	rr, report, err := dctraffic.RunAnalyze(ctx, dctraffic.SmallRun())
 //	if err != nil { ... }
@@ -180,11 +180,12 @@ func AnalyzeSource(ctx context.Context, src TraceSource, opts ...AnalyzeOption) 
 // pipeline on the caller's goroutine: the simulator's completed flows
 // stream through a watermarked reorder buffer straight into the
 // analysis sweep, which steps the simulation one batch whenever it
-// needs more records, so the record-derived figures compute while the
-// cluster still runs. The report is bit-identical to Run followed by
-// AnalyzeRun at any GOMAXPROCS. Cancellation of ctx or a simulation
-// error is returned as the simulator reports it; an analysis error
-// stops the run where it stands.
+// needs more records, so the figures compute while the cluster still
+// runs. The report is bit-identical to Run followed by AnalyzeRun at
+// any GOMAXPROCS. The returned RunResult keeps no record log: its
+// Records is nil, and AnalyzeRun rejects it. Cancellation of ctx or a
+// simulation error is returned as the simulator reports it; an
+// analysis error stops the run where it stands.
 func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*RunResult, *Report, error) {
 	return core.RunAnalyze(ctx, cfg, opts...)
 }

@@ -47,13 +47,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eps := rep.Fig5.Episodes
-	overlap, all := congestion.OverlapRateCDFsIndexed(rr.Records(), congestion.NewEpisodeIndex(eps), rr.Top)
+	join := congestion.NewRecordJoin(congestion.NewEpisodeIndex(rep.Fig5.Episodes), rr.Top, 0)
+	recs := rr.Records()
+	for i := range recs {
+		join.Join(&recs[i])
+	}
 	fmt.Printf("\n== Fig 7: flow rates ==\n")
-	fmt.Printf("flows overlapping congestion: %d of %d\n", overlap.N(), all.N())
+	fmt.Printf("flows overlapping congestion: %d of %d\n", join.Overlap.N(), join.All.N())
 	for _, q := range []float64{0.1, 0.5, 0.9} {
 		fmt.Printf("  q%.0f: overlap %.3f Mbps | all %.3f Mbps\n",
-			q*100, overlap.Quantile(q), all.Quantile(q))
+			q*100, join.Overlap.Quantile(q), join.All.Quantile(q))
 	}
 	fmt.Println("(the paper: the two distributions nearly coincide — rates alone hide the damage)")
 

@@ -5,8 +5,6 @@ import (
 
 	"dctraffic/internal/det"
 	"dctraffic/internal/netsim"
-	"dctraffic/internal/topology"
-	"dctraffic/internal/trace"
 )
 
 // Attribution answers §4.2's operator question: when links run hot, which
@@ -36,45 +34,6 @@ func (a Attribution) Ranked() []netsim.FlowKind {
 		return kinds[i] < kinds[j]
 	})
 	return kinds
-}
-
-// AttributeIndexed computes one record chunk's unnormalized attribution
-// sums against a prebuilt episode index: for every congestion episode,
-// the bytes of each flow kind crossing the hot link during the episode,
-// assuming each flow's bytes spread uniformly over its lifetime (the
-// flow-record approximation used throughout). Share and TotalBytes are
-// left zero; combine chunks (even a single one) with MergeAttribution
-// to normalize. The result is the paper's finding in table form:
-// reduce-phase shuffles dominate, with extract reads and evacuations as
-// the unexpected contributors.
-func AttributeIndexed(records []trace.FlowRecord, idx *EpisodeIndex, top *topology.Topology) Attribution {
-	a := Attribution{BytesOnCongested: make(map[netsim.FlowKind]float64)}
-	for _, r := range records {
-		dur := r.End - r.Start
-		if dur <= 0 || r.Bytes == 0 {
-			continue
-		}
-		rate := float64(r.Bytes) / dur.Seconds()
-		for _, l := range top.PathK(r.Src, r.Dst, uint64(r.ID)) {
-			for _, e := range idx.Link(l) {
-				if e.Start >= r.End {
-					break
-				}
-				lo, hi := e.Start, e.End
-				if r.Start > lo {
-					lo = r.Start
-				}
-				if r.End < hi {
-					hi = r.End
-				}
-				if hi <= lo {
-					continue
-				}
-				a.BytesOnCongested[r.Tag.Kind] += rate * (hi - lo).Seconds()
-			}
-		}
-	}
-	return a
 }
 
 // MergeAttribution combines per-shard attribution sums in fixed order —

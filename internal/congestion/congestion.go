@@ -7,14 +7,13 @@
 package congestion
 
 import (
+	"math"
 	"sort"
 	"time"
 
-	"dctraffic/internal/eventlog"
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/stats"
 	"dctraffic/internal/topology"
-	"dctraffic/internal/trace"
 )
 
 // DefaultThreshold is the paper's hot-spot utilization constant C. The
@@ -35,40 +34,133 @@ func (e Episode) Duration() netsim.Time { return e.End - e.Start }
 // Detect scans the recorded utilization of the given links (nil means the
 // topology's inter-switch links — the set the paper reports on) and
 // returns all episodes at or above threshold (<=0 means DefaultThreshold),
-// ordered by link then start time.
+// ordered by link then start time. It is an EpisodeTracker run to Close.
 func Detect(st *netsim.LinkStats, top *topology.Topology, threshold float64, links []topology.LinkID) []Episode {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
+	t := NewEpisodeTracker(st, top, threshold, links)
+	t.Close()
+	return t.Episodes()
+}
+
+// openEnd is the End of a run the tracker has not seen close yet. It
+// lies past every record's End, so overlap tests and attribution clips
+// treat the run as reaching past any record the tracker may join.
+const openEnd = netsim.Time(math.MaxInt64)
+
+// EpisodeTracker is Detect run online: it scans each link's utilization
+// bins as they become final and keeps its EpisodeIndex current. Each
+// link's episode list ends with its open run, if it has one, stored
+// with End = math.MaxInt64 until a cold bin closes it.
+//
+// A record whose End lies in a scanned bin gets the same overlap and
+// attribution answers from the index now as from the final one: every
+// episode starting before its End is already indexed, closed episodes
+// are final, and an open run reaches past the End either way.
+type EpisodeTracker struct {
+	bin       netsim.Time
+	threshold float64
+	bytes     func(topology.LinkID) []float64
+	links     []linkScan
+	idx       *EpisodeIndex
+	final     int // every link is scanned below this bin
+}
+
+// linkScan is one tracked link's scan state.
+type linkScan struct {
+	id     topology.LinkID
+	capBin float64 // capacity in bytes per bin
+	pos    int     // next bin to scan
+	open   bool    // the link's last indexed episode is its open run
+}
+
+// NewEpisodeTracker tracks the given links (nil means the topology's
+// inter-switch links; untracked links are skipped) at threshold (<=0
+// means DefaultThreshold). Nothing is scanned until Advance or Close.
+func NewEpisodeTracker(st *netsim.LinkStats, top *topology.Topology, threshold float64, links []topology.LinkID) *EpisodeTracker {
 	if links == nil {
 		links = top.InterSwitchLinks()
 	}
 	bin := st.BinSize()
-	var out []Episode
+	var scans []linkScan
 	for _, id := range links {
-		if !st.Tracked(id) {
-			continue
-		}
-		capBps := top.Link(id).CapacityBps
-		bytes := st.Bytes(id)
-		capBytesPerBin := capBps / 8 * bin.Seconds()
-		runStart := -1
-		for i := 0; i <= len(bytes); i++ {
-			hot := i < len(bytes) && capBytesPerBin > 0 && bytes[i]/capBytesPerBin >= threshold
-			if hot && runStart < 0 {
-				runStart = i
-			}
-			if !hot && runStart >= 0 {
-				out = append(out, Episode{
-					Link:  id,
-					Start: netsim.Time(runStart) * bin,
-					End:   netsim.Time(i) * bin,
-				})
-				runStart = -1
-			}
+		if st.Tracked(id) {
+			scans = append(scans, linkScan{id: id, capBin: top.Link(id).CapacityBps / 8 * bin.Seconds()})
 		}
 	}
+	return newEpisodeTracker(bin, threshold, scans, st.Bytes)
+}
+
+func newEpisodeTracker(bin netsim.Time, threshold float64, links []linkScan, bytes func(topology.LinkID) []float64) *EpisodeTracker {
+	if threshold <= 0 {
+		threshold = DefaultThreshold
+	}
+	return &EpisodeTracker{
+		bin:       bin,
+		threshold: threshold,
+		bytes:     bytes,
+		links:     links,
+		idx:       &EpisodeIndex{byLink: make(map[topology.LinkID][]Episode)},
+	}
+}
+
+// Advance scans every bin below final, which must no longer change. A
+// final at or below the tracker's frontier is a no-op.
+func (t *EpisodeTracker) Advance(final int) {
+	if final <= t.final {
+		return
+	}
+	for i := range t.links {
+		t.scan(&t.links[i], final)
+	}
+	t.final = final
+}
+
+// Close scans the rest of every link's recorded bins and closes an open
+// run at the link's recorded bin count, as a scan of the finished
+// counters does. Call it once the bins stop changing; afterwards every
+// bin counts as final.
+func (t *EpisodeTracker) Close() {
+	for i := range t.links {
+		l := &t.links[i]
+		t.scan(l, len(t.bytes(l.id))+1)
+	}
+	t.final = math.MaxInt
+}
+
+// Final reports the frontier: every bin below it has been scanned.
+func (t *EpisodeTracker) Final() int { return t.final }
+
+// Index returns the tracker's episode index, current to the frontier.
+func (t *EpisodeTracker) Index() *EpisodeIndex { return t.idx }
+
+// Episodes returns the indexed episodes ordered by link, in the order
+// the links were given, then start time. After Close it equals Detect;
+// before, each link's open run ends at math.MaxInt64.
+func (t *EpisodeTracker) Episodes() []Episode {
+	var out []Episode
+	for _, l := range t.links {
+		out = append(out, t.idx.byLink[l.id]...)
+	}
 	return out
+}
+
+// scan classifies l's bins from its scan position up to (not including)
+// upto. Bins past the link's recorded ones are cold: they can only ever
+// be recorded as zeros.
+func (t *EpisodeTracker) scan(l *linkScan, upto int) {
+	bytes := t.bytes(l.id)
+	for ; l.pos < upto; l.pos++ {
+		i := l.pos
+		hot := i < len(bytes) && l.capBin > 0 && bytes[i]/l.capBin >= t.threshold
+		if hot && !l.open {
+			t.idx.byLink[l.id] = append(t.idx.byLink[l.id], Episode{Link: l.id, Start: netsim.Time(i) * t.bin, End: openEnd})
+			l.open = true
+		}
+		if !hot && l.open {
+			es := t.idx.byLink[l.id]
+			es[len(es)-1].End = netsim.Time(i) * t.bin
+			l.open = false
+		}
+	}
 }
 
 // FracLinksWithEpisodeAtLeast reports the fraction of the given links that
@@ -111,9 +203,9 @@ func DurationStats(eps []Episode) (cdf *stats.CDF, over10s int, longestSec float
 	return cdf, over10s, longestSec
 }
 
-// EpisodeIndex answers interval-overlap queries per link. Build once
-// with NewEpisodeIndex; it is immutable afterwards and safe for
-// concurrent readers, so shard-parallel record joins can share one.
+// EpisodeIndex answers interval-overlap queries per link. One built by
+// NewEpisodeIndex is immutable; an EpisodeTracker's grows as it scans,
+// and must be read on the tracker's goroutine.
 type EpisodeIndex struct {
 	byLink map[topology.LinkID][]Episode // sorted by start
 }
@@ -133,7 +225,12 @@ func NewEpisodeIndex(eps []Episode) *EpisodeIndex {
 
 // Overlaps reports whether link l had an episode intersecting [from, to).
 func (idx *EpisodeIndex) Overlaps(l topology.LinkID, from, to netsim.Time) bool {
-	es := idx.byLink[l]
+	return overlapsAny(idx.byLink[l], from, to)
+}
+
+// overlapsAny reports whether an episode of es, sorted by start,
+// intersects [from, to).
+func overlapsAny(es []Episode, from, to netsim.Time) bool {
 	// First episode with End > from.
 	i := sort.Search(len(es), func(i int) bool { return es[i].End > from })
 	return i < len(es) && es[i].Start < to
@@ -141,38 +238,6 @@ func (idx *EpisodeIndex) Overlaps(l topology.LinkID, from, to netsim.Time) bool 
 
 // Link returns link l's episodes sorted by start time. Read-only.
 func (idx *EpisodeIndex) Link(l topology.LinkID) []Episode { return idx.byLink[l] }
-
-// FlowOverlapsCongestion reports whether any link of the flow's path had
-// an overlapping episode. The path is reconstructed from the record's
-// flow id, which doubles as the ECMP key on multipath fabrics.
-func FlowOverlapsCongestion(r trace.FlowRecord, idx *EpisodeIndex, top *topology.Topology) bool {
-	for _, l := range top.PathK(r.Src, r.Dst, uint64(r.ID)) {
-		if idx.Overlaps(l, r.Start, r.End) {
-			return true
-		}
-	}
-	return false
-}
-
-// OverlapRateCDFsIndexed builds Figure 7 over one record chunk: the
-// rate distributions (Mbps) of the flows that overlapped congestion and
-// of all flows, joined against a prebuilt episode index. The analysis
-// joins every chunk with one index, then folds each chunk's CDFs into a
-// stats.StreamCDF with MergeCDF in chunk order.
-func OverlapRateCDFsIndexed(records []trace.FlowRecord, idx *EpisodeIndex, top *topology.Topology) (overlap, all *stats.CDF) {
-	overlap, all = &stats.CDF{}, &stats.CDF{}
-	for _, r := range records {
-		rate := r.AvgRateBps()
-		if rate <= 0 {
-			continue
-		}
-		all.Add(rate / 1e6)
-		if FlowOverlapsCongestion(r, idx, top) {
-			overlap.Add(rate / 1e6)
-		}
-	}
-	return overlap, all
-}
 
 // DayImpact is one bar of Figure 8: within one day, how much more likely a
 // read attempt was to fail when its flow crossed a high-utilization link.
@@ -185,62 +250,6 @@ type DayImpact struct {
 	// IncreasePct is (PFailCongested/PFailClear − 1)·100; 0 when either
 	// class is empty or the clear class saw no failures.
 	IncreasePct float64
-}
-
-// ReadFailureImpact joins the application log's read attempts with
-// congestion episodes (via each attempt's flow path), grouped per day.
-// Local reads (no flow) are counted in the clear class: they cannot have
-// crossed a hot link.
-func ReadFailureImpact(log *eventlog.Log, records []trace.FlowRecord, eps []Episode, top *topology.Topology, dayLen netsim.Time, numDays int) []DayImpact {
-	idx := NewEpisodeIndex(eps)
-	byID := make(map[netsim.FlowID]trace.FlowRecord, len(records))
-	for _, r := range records {
-		byID[r.ID] = r
-	}
-	type bucket struct {
-		congested, congestedFail int
-		clear, clearFail         int
-	}
-	buckets := make([]bucket, numDays)
-	for _, ra := range log.Reads() {
-		day := int(ra.Start / dayLen)
-		if day < 0 || day >= numDays {
-			continue
-		}
-		congested := false
-		if ra.Flow >= 0 {
-			if r, ok := byID[ra.Flow]; ok {
-				congested = FlowOverlapsCongestion(r, idx, top)
-			}
-		}
-		b := &buckets[day]
-		if congested {
-			b.congested++
-			if ra.Failed {
-				b.congestedFail++
-			}
-		} else {
-			b.clear++
-			if ra.Failed {
-				b.clearFail++
-			}
-		}
-	}
-	out := make([]DayImpact, numDays)
-	for d, b := range buckets {
-		di := DayImpact{Day: d, CongestedReads: b.congested, ClearReads: b.clear}
-		if b.congested > 0 {
-			di.PFailCongested = float64(b.congestedFail) / float64(b.congested)
-		}
-		if b.clear > 0 {
-			di.PFailClear = float64(b.clearFail) / float64(b.clear)
-		}
-		if di.PFailClear > 0 && b.congested > 0 {
-			di.IncreasePct = (di.PFailCongested/di.PFailClear - 1) * 100
-		}
-		out[d] = di
-	}
-	return out
 }
 
 // ConcurrencySeries counts, per utilization bin, how many of the given

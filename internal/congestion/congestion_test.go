@@ -155,9 +155,15 @@ func TestOverlapRateCDFs(t *testing.T) {
 		{ID: 2, Src: 5, Dst: 6, Bytes: 1_250_000, Start: time.Second, End: 2 * time.Second},       // elsewhere
 		{ID: 3, Src: 0, Dst: 1, Bytes: 1_250_000, Start: 20 * time.Second, End: 21 * time.Second}, // after episode
 	}
-	overlap, all := OverlapRateCDFsIndexed(records, NewEpisodeIndex(eps), top)
-	if all.N() != 3 || overlap.N() != 1 {
-		t.Fatalf("overlap=%d all=%d", overlap.N(), all.N())
+	j := NewRecordJoin(NewEpisodeIndex(eps), top, 0)
+	for i := range records {
+		j.Join(&records[i])
+	}
+	if j.All.N() != 3 || j.Overlap.N() != 1 {
+		t.Fatalf("overlap=%d all=%d", j.Overlap.N(), j.All.N())
+	}
+	if !j.congested(1) || j.congested(2) || j.congested(3) {
+		t.Fatal("only flow 1 crossed the hot link during its episode")
 	}
 }
 
@@ -178,7 +184,11 @@ func TestReadFailureImpact(t *testing.T) {
 	}
 	// Day 2: only clear attempts.
 	log.AppendRead(eventlog.ReadAttempt{Flow: -1, Start: day + time.Hour, End: day + 2*time.Hour, Failed: false})
-	impacts := ReadFailureImpact(log, records, eps, top, day, 2)
+	j := NewRecordJoin(NewEpisodeIndex(eps), top, 0)
+	for i := range records {
+		j.Join(&records[i])
+	}
+	impacts := j.ReadFailureImpact(log, day, 2)
 	if len(impacts) != 2 {
 		t.Fatalf("impacts = %v", impacts)
 	}
@@ -279,7 +289,11 @@ func TestAttribute(t *testing.T) {
 		// Control flow elsewhere: never on the hot link.
 		mkr(3, 5, 6, 1000, 0, 10*time.Second, netsim.KindControl),
 	}
-	a := MergeAttribution([]Attribution{AttributeIndexed(records, NewEpisodeIndex(eps), top)})
+	j := NewRecordJoin(NewEpisodeIndex(eps), top, 0)
+	for i := range records {
+		j.Join(&records[i])
+	}
+	a := j.Attribution()
 	if a.TotalBytes != 1500 {
 		t.Fatalf("total attributed = %v, want 1500", a.TotalBytes)
 	}
@@ -297,7 +311,7 @@ func TestAttribute(t *testing.T) {
 		t.Fatalf("ranking = %v", ranked)
 	}
 	// Empty inputs.
-	empty := MergeAttribution([]Attribution{AttributeIndexed(nil, NewEpisodeIndex(nil), top)})
+	empty := NewRecordJoin(NewEpisodeIndex(nil), top, 0).Attribution()
 	if empty.TotalBytes != 0 || len(empty.Ranked()) != 0 {
 		t.Fatal("empty attribution should be zero")
 	}

@@ -37,9 +37,9 @@ type analyzeConfig struct {
 	progress func(StreamProgress)
 
 	// Fused-pipeline fields (see fused.go). live marks the source as a
-	// still-running simulation's LiveSource: the run-only inputs
-	// (episodes, tomography, Figure 8) are deferred until the source
-	// drains, because they read simulator state that is only final then.
+	// still-running simulation's LiveSource: congestion episodes are
+	// tracked as the link bins become final, and tomography waits until
+	// the source drains, because it reads the job event log.
 	live    *trace.LiveSource
 	runOpts []RunOption
 }
@@ -127,11 +127,15 @@ func WithStreamProgress(fn func(StreamProgress)) AnalyzeOption {
 
 // AnalyzeRun regenerates every figure from a completed run. It streams
 // the run's records through AnalyzeSource; results are bit-identical
-// to analyzing a written-out trace of the same run.
+// to analyzing a written-out trace of the same run. It returns an error
+// for a run without its record log: RunAnalyze's runs keep none.
 //
 // The §2 compression measurement starts here and runs alongside the
 // sweep; every exit without a report, a panic included, stops it.
 func AnalyzeRun(ctx context.Context, rr *RunResult, opts ...AnalyzeOption) (rep *Report, err error) {
+	if kept, n := len(rr.Records()), rr.Collector.NumRecords(); kept != n {
+		return nil, fmt.Errorf("core: AnalyzeRun needs the run's record log, which holds %d of its %d records (a RunAnalyze run keeps none)", kept, n)
+	}
 	rr.Collector.StartCompressionMeter()
 	defer func() {
 		if rep == nil {
@@ -185,10 +189,11 @@ type tomoSlot struct {
 	warm, fellBack                   bool
 }
 
-// recordShardTarget is the record-chunk size of the Figure 7 episode
-// join and the attribution. Chunk boundaries depend only on the record
-// count, so every path cuts the same chunks; attribution sums per
-// chunk, so the value is part of the pinned digests.
+// recordShardTarget is the size of an attribution part: the record join
+// seals one every recordShardTarget records, in delivery order. Part
+// boundaries depend only on the record count, so every path cuts the
+// same parts; attribution sums per part, so the value is part of the
+// pinned digests.
 const recordShardTarget = 1 << 17
 
 // tomoDeferred is one tomography window parked by the fused pipeline:
@@ -210,12 +215,12 @@ type streamAnalysis struct {
 	numHosts int
 	taskCnt  *obs.Counter
 
-	// fused marks a live (still-running-simulation) source: run-derived
-	// work is deferred to finishRun, record-derived work streams as
-	// usual. See fused.go.
-	fused         bool
-	pendingChunks [][]trace.FlowRecord
-	tomoPending   []tomoDeferred
+	// fused marks a live (still-running-simulation) source: the episode
+	// tracker follows the simulation's link bins and tomography is
+	// deferred to finishRun; record-derived work streams as usual. See
+	// fused.go.
+	fused       bool
+	tomoPending []tomoDeferred
 
 	src    trace.Source
 	peeked *trace.FlowRecord
@@ -228,8 +233,16 @@ type streamAnalysis struct {
 	// run-only inputs, nil/zero in trace mode
 	links   []topology.LinkID
 	eps     []congestion.Episode
-	epIdx   *congestion.EpisodeIndex
 	binSize netsim.Time
+
+	// The congestion join, run mode only: episodes tracked as the link
+	// bins become final, and a queue of delivered records, each joined
+	// in delivery order once the bin holding its End is final.
+	tracker  *congestion.EpisodeTracker
+	join     *congestion.RecordJoin
+	joinQ    []trace.FlowRecord
+	joinHead int
+	joined   int
 
 	// per-record streaming consumers
 	incast          *congestion.IncastTracker
@@ -237,12 +250,6 @@ type streamAnalysis struct {
 	reasm           *flows.StreamReassembler
 	fig9            *flows.SummaryTracker
 	rawStartsBefore int64
-
-	// record chunks (Figure 7 join + attribution), run mode only
-	chunkBuf    []trace.FlowRecord
-	fig7Overlap *stats.StreamCDF
-	fig7All     *stats.StreamCDF
-	attrParts   []congestion.Attribution
 
 	// windowed figure slots
 	fig2M        *tm.Matrix
@@ -274,18 +281,20 @@ type streamAnalysis struct {
 // (decomposition rule 1), sorted by closing boundary. At each boundary
 // the sweep delivers records into a sliding trace.WindowView plus the
 // online accumulators (streaming CDFs, inter-arrival and incast
-// trackers, the windowed flow reassembler, Figure 7/attribution record
-// chunks), computes each closing window inline in boundary order —
-// Figure 10 bins go straight into the change ring, each full record
-// chunk is joined and merged into the Figure 7 CDFs and attribution —
-// and retires every record no open window can reach. Everything runs
+// trackers, the windowed flow reassembler, the congestion record join),
+// computes each closing window inline in boundary order — Figure 10
+// bins go straight into the change ring — and retires every record no
+// open window can reach. Each record joins the congestion episodes once
+// the link bin holding its End is final, which on a finished run is at
+// once, and feeds the Figure 7 CDFs, the attribution and Figure 8's
+// per-flow congested bits. Everything runs
 // on the calling goroutine. Whole-run statistics stay exact below the
 // WithCDFSampleCap sample cap and degrade to deterministic bounded
 // quantile sketches beyond it, so small-scale reports are bit-identical
 // to the in-memory path while week-long traces run in O(window) memory.
 //
 // The three obs phases are unchanged from the in-memory pipeline:
-// "analyze.index" (validation, episode detection, window registry),
+// "analyze.index" (validation, episode tracker, window registry),
 // "analyze.figures" (the sweep and the record-figure merges),
 // "analyze.congestion" (Figures 5–8, incast, attribution).
 //
@@ -339,7 +348,7 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 	}
 	if a.fused {
 		// The source hit EOF, so the producing simulation has finished:
-		// the run-only inputs are final and the deferred work can run.
+		// the job event log is final and the deferred tomography can run.
 		if err := a.finishRun(ctx); err != nil {
 			return nil, fmt.Errorf("core: analyze canceled: %w", err)
 		}
@@ -356,7 +365,8 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 }
 
 // setup builds the window registry, the online accumulators, and — in
-// run mode — the episode index and the tomography chain.
+// run mode — the episode tracker, the record join and the tomography
+// chain.
 func (a *streamAnalysis) setup() {
 	cfg := a.cfg
 	duration := a.duration
@@ -370,18 +380,18 @@ func (a *streamAnalysis) setup() {
 
 	if rr := cfg.run; rr != nil {
 		a.links = a.top.InterSwitchLinks()
-		a.fig7Overlap = stats.NewStreamCDF(cfg.cdfCap)
-		a.fig7All = stats.NewStreamCDF(cfg.cdfCap)
+		st := rr.Net.Stats()
+		a.binSize = st.BinSize()
+		a.tracker = congestion.NewEpisodeTracker(st, a.top, cfg.CongestionThreshold, a.links)
+		if !a.fused {
+			// A finished run's link bins are final: every record joins
+			// as it is delivered.
+			a.tracker.Close()
+		}
+		a.join = congestion.NewRecordJoin(a.tracker.Index(), a.top, cfg.cdfCap)
 		a.tomoProblem = tomo.NewProblem(a.top)
 		a.tomoEst = a.tomoProblem.NewEstimator(tomo.EstimatorOptions{})
 		a.xTrue = make([]float64, a.tomoProblem.NumPairs())
-		if !a.fused {
-			// Fused mode defers episode detection to finishRun: the link
-			// stats are still being written by the simulation here.
-			a.eps = congestion.Detect(rr.Net.Stats(), a.top, cfg.CongestionThreshold, a.links)
-			a.epIdx = congestion.NewEpisodeIndex(a.eps)
-			a.binSize = rr.Net.Stats().BinSize()
-		}
 	}
 
 	// The window registry: every figure window, built from the duration
@@ -465,14 +475,24 @@ func (a *streamAnalysis) sweep(ctx context.Context) error {
 		return err
 	}
 	// Past the last window: drain the source tail into the per-record
-	// consumers, flush the reassembler and the final partial chunk.
+	// consumers, flush the reassembler and finish the record join.
 	if err := a.advance(maxSweepTime); err != nil {
 		return err
 	}
 	if a.reasm != nil {
 		a.reasm.Close()
 	}
-	a.flushChunk()
+	if a.join != nil {
+		// The source is drained, so the run has finished: every link
+		// bin is final.
+		a.tracker.Close()
+		a.joinFinal()
+		if a.joined%recordShardTarget != 0 {
+			a.join.SealPart()
+			a.taskCnt.Inc()
+		}
+		a.eps = a.tracker.Episodes()
+	}
 	return nil
 }
 
@@ -505,7 +525,7 @@ func (a *streamAnalysis) advance(boundary netsim.Time) error {
 }
 
 // deliver feeds one record to the window view, the per-record
-// consumers, and the chunk buffer.
+// consumers, and the record join.
 func (a *streamAnalysis) deliver(r trace.FlowRecord) error {
 	if err := a.checkRecord(&r); err != nil {
 		return err
@@ -517,11 +537,9 @@ func (a *streamAnalysis) deliver(r trace.FlowRecord) error {
 		a.rawStartsBefore++
 	}
 	a.incast.Observe(&r)
-	if a.epIdx != nil || a.fused {
-		a.chunkBuf = append(a.chunkBuf, r)
-		if len(a.chunkBuf) >= recordShardTarget {
-			a.flushChunk()
-		}
+	if a.join != nil {
+		a.joinQ = append(a.joinQ, r)
+		a.joinFinal()
 	}
 	if a.reasm != nil {
 		a.reasm.Feed(r)
@@ -556,31 +574,36 @@ func (a *streamAnalysis) consumeFlow(r trace.FlowRecord) {
 	a.ia.Observe(&r)
 }
 
-// flushChunk seals the buffered record chunk. Fused mode parks it
-// until the episode index exists (finishRun); the two-phase path joins
-// it immediately.
-func (a *streamAnalysis) flushChunk() {
-	if len(a.chunkBuf) == 0 {
-		return
+// joinFinal joins the queued records, in delivery order, up to the
+// first whose End lies in a link bin that may still change. On the
+// fused path it first advances the tracker to the bins the network has
+// finished accruing: bytes accrue lazily, at the next network event, so
+// the simulated clock can run ahead of them. Every recordShardTarget
+// joined records seal an attribution part.
+func (a *streamAnalysis) joinFinal() {
+	if a.fused {
+		a.tracker.Advance(int(a.cfg.run.Net.LastAccrual() / a.binSize))
 	}
-	chunk := a.chunkBuf
-	a.chunkBuf = nil
-	if a.epIdx == nil {
-		a.pendingChunks = append(a.pendingChunks, chunk)
-		return
+	final := a.tracker.Final()
+	for ; a.joinHead < len(a.joinQ); a.joinHead++ {
+		r := &a.joinQ[a.joinHead]
+		if int(r.End/a.binSize) >= final {
+			break
+		}
+		a.join.Join(r)
+		a.joined++
+		if a.joined%recordShardTarget == 0 {
+			a.join.SealPart()
+			a.taskCnt.Inc()
+		}
 	}
-	a.joinChunk(chunk)
-}
-
-// joinChunk joins one sealed chunk against the episode index and merges
-// the result into the Figure 7 CDFs and the attribution parts. Chunks
-// arrive in record order.
-func (a *streamAnalysis) joinChunk(chunk []trace.FlowRecord) {
-	a.taskCnt.Inc()
-	overlap, all := congestion.OverlapRateCDFsIndexed(chunk, a.epIdx, a.top)
-	a.fig7Overlap.MergeCDF(overlap)
-	a.fig7All.MergeCDF(all)
-	a.attrParts = append(a.attrParts, congestion.AttributeIndexed(chunk, a.epIdx, a.top))
+	// Reclaim the joined prefix once it dominates the queue.
+	if a.joinHead == len(a.joinQ) {
+		a.joinQ, a.joinHead = a.joinQ[:0], 0
+	} else if a.joinHead > 64 && a.joinHead > len(a.joinQ)/2 {
+		n := copy(a.joinQ, a.joinQ[a.joinHead:])
+		a.joinQ, a.joinHead = a.joinQ[:n], 0
+	}
 }
 
 // dispatch computes a closing window from its slice copy. Windows
@@ -626,25 +649,11 @@ func (a *streamAnalysis) dispatch(w *figWindow) {
 	}
 }
 
-// finishRun executes the run-derived work a fused sweep deferred. It
+// finishRun solves the tomography windows a fused sweep parked. It
 // runs after the source hit EOF — the simulation's last step has run,
-// so the link stats, job event log and collector are final. Episode
-// detection, the parked chunk joins and the tomography chain all happen
-// in the same order the two-phase path uses, so results are
-// bit-identical.
+// so the job event log is final — and walks the windows in the order
+// the two-phase path solves them, so results are bit-identical.
 func (a *streamAnalysis) finishRun(ctx context.Context) error {
-	cfg := a.cfg
-	rr := cfg.run
-	a.eps = congestion.Detect(rr.Net.Stats(), a.top, cfg.CongestionThreshold, a.links)
-	a.epIdx = congestion.NewEpisodeIndex(a.eps)
-	a.binSize = rr.Net.Stats().BinSize()
-	for _, chunk := range a.pendingChunks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		a.joinChunk(chunk)
-	}
-	a.pendingChunks = nil
 	for i := range a.tomoPending {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -902,17 +911,17 @@ func (a *streamAnalysis) congestionFigures(rep *Report) {
 		}
 
 		rep.Fig7 = Fig7Data{
-			OverlapCDF:        a.fig7Overlap.Points(100),
-			AllCDF:            a.fig7All.Points(100),
-			MedianOverlapMbps: a.fig7Overlap.Quantile(0.5),
-			MedianAllMbps:     a.fig7All.Quantile(0.5),
+			OverlapCDF:        a.join.Overlap.Points(100),
+			AllCDF:            a.join.All.Points(100),
+			MedianOverlapMbps: a.join.Overlap.Quantile(0.5),
+			MedianAllMbps:     a.join.All.Quantile(0.5),
 		}
 
 		numPeriods := int(a.duration / cfg.Fig8Period)
 		if numPeriods < 1 {
 			numPeriods = 1
 		}
-		days := congestion.ReadFailureImpact(rr.Log, rr.Records(), a.eps, a.top, cfg.Fig8Period, numPeriods)
+		days := a.join.ReadFailureImpact(rr.Log, cfg.Fig8Period, numPeriods)
 		var increases []float64
 		for _, d := range days {
 			if d.CongestedReads > 0 && d.ClearReads > 0 {
@@ -921,7 +930,7 @@ func (a *streamAnalysis) congestionFigures(rep *Report) {
 		}
 		rep.Fig8 = Fig8Data{Period: cfg.Fig8Period, Days: days, MedianIncreasePct: stats.Median(increases)}
 
-		rep.Attribution = congestion.MergeAttribution(a.attrParts)
+		rep.Attribution = a.join.Attribution()
 	}
 
 	rep.Incast = a.incast.Audit(a.eps, a.binSize, a.duration, maxConns)

@@ -26,12 +26,17 @@ func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
 // pulls: whenever no record is releasable, the source runs one more
 // event-loop batch, so the record-derived figures (2, 3/4, 9, 10, 11,
 // the incast record pass) compute while the simulation is still
-// producing, and only the run-derived work (congestion episodes,
-// Figures 5–8, attribution, tomography, the overhead model) waits for
-// the end of the run. The §2 compression ratio is measured as records
-// complete, on the collector's meter goroutine. The report is
-// bit-identical to Run followed by AnalyzeRun at any GOMAXPROCS
-// (enforced by TestRunAnalyzeMatchesTwoPhase).
+// producing. Congestion episodes are tracked as the link bins become
+// final, and each record joins them (Figures 7 and 8, attribution) as
+// soon as the bin holding its End is final; only tomography and the
+// overhead model wait for the end of the run. The §2 compression ratio
+// is measured as records complete, on the collector's meter goroutine.
+// The report is bit-identical to Run followed by AnalyzeRun at any
+// GOMAXPROCS (enforced by TestRunAnalyzeMatchesTwoPhase).
+//
+// The collector hands each record to the source instead of logging it,
+// so the returned RunResult has no record log (Records is nil,
+// Collector.NumRecords counts them) and AnalyzeRun rejects it.
 //
 // Options: analysis options apply as in AnalyzeSource; WithRunOptions
 // forwards simulator options. A simulator error (cancellation at a

@@ -102,11 +102,37 @@ func TestRunAnalyzeObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	released := snap.Value("trace.live.released_total")
-	if want := float64(len(rr.Records())); released != want {
+	if want := float64(rr.Collector.NumRecords()); released != want {
 		t.Fatalf("released_total %v, want %v (every record must pass through the seam)", released, want)
 	}
 	if peak := snap.Value("trace.live.buffered_peak"); peak <= 0 {
 		t.Fatalf("buffered_peak %v, want > 0", peak)
+	}
+}
+
+// TestRunAnalyzeKeepsNoLog checks that a fused run's collector hands
+// its records to the analysis without logging them, that a plain Run
+// still keeps its log, and that AnalyzeRun rejects a run without one
+// instead of analyzing zero records.
+func TestRunAnalyzeKeepsNoLog(t *testing.T) {
+	cfg := fusedTestConfig(1)
+	cfg.Duration = 10 * time.Minute
+	rr, _, err := RunAnalyze(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rr.Collector.NumRecords(); rr.Records() != nil || n <= 0 {
+		t.Fatalf("fused run kept %d logged records of %d collected, want none of some", len(rr.Records()), n)
+	}
+	if _, err := AnalyzeRun(context.Background(), rr); err == nil {
+		t.Fatal("AnalyzeRun analyzed a run without its record log")
+	}
+	plain, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(plain.Records()), plain.Collector.NumRecords(); got != want || got != rr.Collector.NumRecords() {
+		t.Fatalf("plain run logged %d of %d records, fused run collected %d", got, want, rr.Collector.NumRecords())
 	}
 }
 

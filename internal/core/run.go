@@ -69,9 +69,9 @@ func SmallRun() RunConfig {
 
 // PaperRun returns the paper-scale configuration: 75 racks × 20 servers
 // and a full day. On a 2-CPU x86-64 host, simulating and analyzing it
-// (dcanalyze -paper) took 46 s, with 1.07 GB of peak live heap and
-// 1.9 GiB of peak RSS; fused (-fused), 38 s, 1.15 GB and 2.1 GiB. See
-// EXPERIMENTS.md "Only the links an analysis reads".
+// (dcanalyze -paper) took 40 s, with 0.95 GB of peak live heap and
+// 1.9 GiB of peak RSS; fused (-fused), 36 s, 0.57 GB and 1.0 GiB. See
+// EXPERIMENTS.md "A fused run keeps no records".
 func PaperRun() RunConfig {
 	sc := sched.DefaultConfig()
 	sc.JobsPerHour = 900 // scale arrivals with cluster size
@@ -105,7 +105,9 @@ type RunResult struct {
 	Metrics *obs.Snapshot
 }
 
-// Records returns the socket-level flow log.
+// Records returns the socket-level flow log: nil for a RunAnalyze
+// result, whose collector streams each record to the analysis instead
+// of logging it (Collector.NumRecords still counts them).
 func (r *RunResult) Records() []trace.FlowRecord { return r.Collector.Records() }
 
 // Source returns the flow log as a canonical-order trace.Source, the

@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"math"
 	"runtime/debug"
 	"sync"
+	"time"
 
 	"dctraffic/internal/core"
+	"dctraffic/internal/cosmos"
+	"dctraffic/internal/sched"
+	"dctraffic/internal/stats"
 	"dctraffic/internal/topology"
 )
 
@@ -83,28 +88,83 @@ func DefaultBudgetMB() int {
 }
 
 // EstimatePeakMB is the admission controller's coarse, deterministic
-// peak-live-heap model for one fused RunAnalyze pipeline. It is a
-// heuristic, not a measurement: the fused pipeline retains every trace
-// record (the collector keeps them for Figure 8 and attribution) plus
-// O(hosts²) matrices and a fixed base of simulator/solver/analysis
-// state. Constants are calibrated against observed runs (a paper-scale
-// day produces ~2M records; the two-phase peak measured 1.24 GB).
-// Depending only on the config, the same sweep always yields the same
-// admission schedule.
+// peak-live-heap model for one fused RunAnalyze pipeline, derived from
+// what such a run keeps until it ends. A fused run keeps no flow
+// records: each joins the congestion episodes as the sweep delivers it,
+// and the sweep's window view holds only open windows' records. What
+// grows with the run is
+//
+//   - the inter-switch links' utilization bins, 8 bytes a bin per link;
+//   - the job event log (read attempts, lifecycle records, membership),
+//     about 100 bytes per flow the run completes;
+//   - the sweep's whole-run CDFs — Figure 9's three (one weighted, 16
+//     bytes a sample), the cluster, ToR and server inter-arrival gaps
+//     (the last two up to two samples per flow) and Figure 7's two — each
+//     exact up to stats.DefaultCDFSampleCap samples and a bounded sketch
+//     beyond;
+//   - one racks × racks ToR matrix per tomography window, parked until
+//     the run ends;
+//
+// on top of a base for the runtime, topology, store, scheduler, meter
+// and window view. Flows are estimated per job from the extents a job's
+// median batch input spans: the largest ratio measured, at laptop scale
+// (64 MiB extents), is 27 flows per extent; a paper day (256 MiB
+// extents) measured 13.5. Append growth leaves up to a quarter of each
+// growing slice unused. Jobs arrive at JobsPerHour over the whole
+// window, which overstates short laptop runs that start in the diurnal
+// trough. Depending only on the config, the same sweep always yields the
+// same admission schedule. EXPERIMENTS.md "A fused run keeps no
+// records" records the estimate against measured live heaps.
 func EstimatePeakMB(cfg core.RunConfig) int {
 	const (
-		baseMB     = 48  // runtime, simulator, solver, analysis scratch
-		recBytes   = 112 // retained FlowRecord + slice/index slack
-		recsPerJob = 100 // scatter-gather shuffle flows per job, order-of-magnitude
+		baseMB          = 16
+		flowsPerExtent  = 27
+		logBytesPerFlow = 100
+		growth          = 1.25 // append slack
+		matrixEntry     = 24   // bytes per ToR-matrix entry
 	)
-	hosts := cfg.Topology.Racks*cfg.Topology.ServersPerRack + cfg.Topology.ExternalHosts
+	tc := cfg.Topology
+	torLinks := tc.Racks
+	if tc.MultiPath {
+		torLinks *= tc.AggSwitches
+	}
+	links := 2 * (torLinks + tc.AggSwitches)
+	binSize := cfg.UtilBinSize
+	if binSize <= 0 {
+		binSize = time.Second
+	}
+	horizon := cfg.Duration + cfg.DrainTime
+	bins := float64((horizon + binSize - 1) / binSize)
+
 	jobsPerHour := cfg.Sched.JobsPerHour
 	if jobsPerHour <= 0 {
-		jobsPerHour = 150 // sched.DefaultConfig's arrival rate
+		jobsPerHour = sched.DefaultConfig().JobsPerHour
 	}
-	hours := (cfg.Duration + cfg.DrainTime).Hours()
-	records := jobsPerHour * hours * recsPerJob
-	bytes := records*recBytes + float64(hosts)*float64(hosts)*3*16
+	input := cfg.Sched.BatchInputMedian
+	if input <= 0 {
+		input = sched.DefaultConfig().BatchInputMedian
+	}
+	extent := cfg.Store.ExtentBytes
+	if extent <= 0 {
+		extent = cosmos.DefaultConfig().ExtentBytes
+	}
+	flows := jobsPerHour * cfg.Duration.Hours() * flowsPerExtent * math.Max(1, float64(input)/float64(extent))
+
+	cdfBytes := 0.0
+	for _, c := range []struct{ perFlow, bytes float64 }{
+		{1, 8}, {1, 16}, {1, 8}, // Figure 9: by flows, by bytes, rates
+		{1, 8}, {2, 8}, {2, 8}, // inter-arrivals: cluster, ToR, server
+		{1, 8}, {1, 8}, // Figure 7: overlapping, all
+	} {
+		cdfBytes += math.Min(c.perFlow*flows, stats.DefaultCDFSampleCap) * c.bytes
+	}
+	opts := core.AnalyzeOptions{}.ApplyDefaults(cfg.Duration)
+	tomoWindows := min(int((cfg.Duration+opts.TomoBin-1)/opts.TomoBin), opts.TomoMaxTMs)
+
+	bytes := float64(links)*bins*8*growth +
+		flows*logBytesPerFlow*growth +
+		cdfBytes*growth +
+		float64(tomoWindows)*float64(tc.Racks*tc.Racks)*matrixEntry
 	return baseMB + int(bytes/(1<<20))
 }
 

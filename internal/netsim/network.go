@@ -195,6 +195,11 @@ func (n *Network) Stats() *LinkStats { return n.stats }
 // ActiveFlows reports the number of in-flight flows.
 func (n *Network) ActiveFlows() int { return len(n.active) }
 
+// LastAccrual reports the time link bytes have been accrued up to.
+// Bytes accrue lazily, at the next network event rather than at the
+// clock, so a stats bin that ends at or before this time is final.
+func (n *Network) LastAccrual() Time { return n.lastAdvance }
+
 // EarliestActiveStart returns the minimum Start time among in-flight
 // flows (false when none are active). Together with the simulation
 // clock it bounds the release watermark of a live record stream: any

@@ -275,9 +275,8 @@ func (s *QuantileSketch) Points(n int) []Point {
 // and its queries. cap <= 0 means never sketch (fully exact).
 //
 // It intentionally offers no Merge-with-StreamCDF: whole-run streaming
-// statistics are accumulated on one goroutine in canonical record
-// order, and chunk-built exact CDFs merge in via MergeCDF in chunk
-// order, so the result is a pure function of the record sequence.
+// statistics are accumulated on one goroutine in record order, so the
+// result is a pure function of the record sequence.
 type StreamCDF struct {
 	cap   int
 	n     int64
@@ -325,8 +324,8 @@ func (c *StreamCDF) convert() {
 }
 
 // MergeCDF appends every sample of an exact CDF: in its insertion order
-// until o is first queried, in its canonical order after. Used to fold
-// chunk-built CDFs into a stream accumulator in chunk order.
+// until o is first queried, in its canonical order after. Merging a
+// never-queried CDF equals adding its samples one by one.
 func (c *StreamCDF) MergeCDF(o *CDF) {
 	if o == nil {
 		return

@@ -108,7 +108,8 @@ type Collector struct {
 	cfg Config
 	top *topology.Topology
 
-	records []FlowRecord
+	records  []FlowRecord // the log; nil with a sink
+	nRecords int
 
 	// Per-server accounting (cluster servers only; external hosts are
 	// not instrumented, as in the paper).
@@ -120,7 +121,7 @@ type Collector struct {
 	metRecords      *obs.Counter
 	metSocketEvents *obs.Counter
 
-	// sink, when set, receives each record as it is appended (see
+	// sink, when set, receives each record in place of the log (see
 	// SetSink).
 	sink func(FlowRecord)
 
@@ -182,22 +183,26 @@ func (c *Collector) FlowEnded(f *netsim.Flow) {
 		Start: f.Start, End: f.End, Bytes: moved, Tag: f.Tag,
 		Canceled: f.Canceled,
 	}
-	c.records = append(c.records, rec)
+	c.nRecords++
 	c.metRecords.Inc()
 	if c.meter != nil {
 		c.meter.feed(rec)
 	}
 	if c.sink != nil {
 		c.sink(rec)
+	} else {
+		c.records = append(c.records, rec)
 	}
 }
 
-// SetSink registers a callback invoked with each record as it is
-// appended to the log. FlowEnded callbacks run on the event-loop
-// goroutine in the simulator's deterministic completion order, so the
-// sink sees records in the same order Records() accumulates — this is
-// the emission path core.RunAnalyze feeds a LiveSource from. The sink
-// runs inside the event loop and must not block.
+// SetSink hands each completed record to fn instead of the log: a
+// collector with a sink keeps no log, so Records stays nil while
+// NumRecords keeps counting. Set it before the run starts. FlowEnded
+// callbacks run on the event-loop goroutine in the simulator's
+// deterministic completion order, so the sink sees records in the order
+// a log would have kept them — this is the emission path core.RunAnalyze
+// feeds a LiveSource from. The sink runs inside the event loop and must
+// not block.
 func (c *Collector) SetSink(fn func(FlowRecord)) { c.sink = fn }
 
 func (c *Collector) account(s topology.ServerID, events, bytes int64) {
@@ -209,12 +214,14 @@ func (c *Collector) account(s topology.ServerID, events, bytes int64) {
 	c.metSocketEvents.Add(events)
 }
 
-// Records returns the completed-flow log in completion order. The slice is
+// Records returns the completed-flow log in completion order: nil for a
+// collector with a sink (SetSink), which keeps no log. The slice is
 // shared; callers must not modify it.
 func (c *Collector) Records() []FlowRecord { return c.records }
 
-// NumRecords reports the number of completed flows captured.
-func (c *Collector) NumRecords() int { return len(c.records) }
+// NumRecords reports the number of completed flows captured, logged or
+// handed to the sink.
+func (c *Collector) NumRecords() int { return c.nRecords }
 
 // Overhead summarizes the §2 instrumentation cost model over a run of the
 // given length.
@@ -287,10 +294,11 @@ func median(xs []float64) float64 {
 
 // StartCompressionMeter starts measuring the §2 compression ratio of
 // the first CompressionSample records on a goroutine of its own: the
-// records already collected are handed over at once, and FlowEnded
-// feeds later ones in completion order without blocking. Call it before
-// the run starts or after it ends, never while it runs. A meter that is
-// already started, or has finished, is kept.
+// records already logged are handed over at once, and FlowEnded feeds
+// later ones in completion order without blocking. Call it before the
+// run starts or after it ends, never while it runs; a collector with a
+// sink logs nothing to hand over, so start its meter before the run. A
+// meter that is already started, or has finished, is kept.
 func (c *Collector) StartCompressionMeter() {
 	c.meterMu.Lock()
 	defer c.meterMu.Unlock()
