@@ -1,32 +1,29 @@
 // Command dcanalyze runs the full analysis pipeline and prints the
 // regenerated data for every figure of the paper.
 //
-// By default it simulates a fresh run (congestion and application-impact
-// analyses need link counters and application logs, which live only in a
-// live run):
+// By default it simulates a fresh run and analyzes it as it runs
+// (congestion and application-impact analyses need link counters and
+// application logs, which only a simulated run has): the analysis sweep
+// pulls completed flows through a watermarked reorder buffer and steps
+// the simulator whenever it needs more, so no record log is kept, while
+// the §2 compression meter runs alongside. -duration sets the
+// instrumented window; 0 keeps the configuration's own, 2h for the
+// -racks × -servers laptop cluster and 24h with -paper. -metrics writes
+// the run's final observability snapshot (including the live seam's
+// trace.live.* series) as JSON:
 //
-//	dcanalyze -racks 8 -servers 10 -duration 2h
+//	dcanalyze -racks 8 -servers 10 -duration 2h -metrics run.json
 //
 // With -trace it streams a dcsim-written record file (JSONL, optionally
 // .gz) through the bounded-memory pipeline instead, producing the
 // record-only figures (2, 3, 4, 9, 10, 11, incast) without ever
-// materializing the trace. Pass the flags the trace was simulated with
-// (-racks, -servers and -duration, or -paper): they set the topology
-// and duration it is analyzed against, and a record whose endpoint
-// lies outside that topology is an error:
+// materializing the trace. Pass the -racks, -servers, -duration and
+// -paper flags the trace was simulated with: they set the topology and
+// duration it is analyzed against, and a record whose endpoint lies
+// outside that topology is an error. A trace has no run, so -metrics is
+// an error with -trace:
 //
 //	dcanalyze -trace trace.jsonl -racks 8 -servers 10 -duration 2h
-//
-// With -fused the simulation and the analysis run as one interleaved
-// pipeline: the analysis sweep pulls completed flows through a
-// watermarked reorder buffer and steps the simulator whenever it needs
-// more, producing the full figure set bit-identically to the two-phase
-// default without keeping a record log, while the §2 compression meter
-// runs alongside. -metrics writes the run's
-// final observability snapshot (including the fused seam's trace.live.*
-// series) as JSON:
-//
-//	dcanalyze -fused -racks 8 -servers 10 -duration 2h -metrics run.json
 //
 // -mem-profile writes a heap profile captured at the sweep's peak
 // buffered-record window; -max-heap-mb makes dcanalyze exit nonzero if
@@ -52,19 +49,22 @@ import (
 func main() {
 	racks := flag.Int("racks", 8, "number of racks")
 	servers := flag.Int("servers", 10, "servers per rack")
-	duration := flag.Duration("duration", 2*time.Hour, "instrumented window")
+	duration := flag.Duration("duration", 0, "instrumented window (0 = the configuration's own: 2h, or 24h with -paper)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	traceFile := flag.String("trace", "", "stream this dcsim trace through the analysis instead of simulating")
-	fused := flag.Bool("fused", false, "interleave simulation and analysis in one fused pipeline (identical figures; no record log is kept)")
-	metricsOut := flag.String("metrics", "", "write the run's final metrics snapshot as JSON to this file (simulating modes only)")
+	traceFile := flag.String("trace", "", "stream this dcsim trace through the analysis instead of simulating; pass the -racks, -servers, -duration and -paper flags it was simulated with")
+	metricsOut := flag.String("metrics", "", "write the run's final metrics snapshot as JSON to this file (not with -trace)")
 	heat := flag.Bool("heat", false, "print the Figure 2 ASCII heat map")
 	tsvDir := flag.String("tsv", "", "also write every figure's data series as TSV files into this directory")
-	paper := flag.Bool("paper", false, "use the paper-scale configuration (75 racks x 20 servers, 24h)")
+	paper := flag.Bool("paper", false, "use the paper-scale configuration (75 racks x 20 servers, 24h) instead of -racks/-servers")
 	jsonOut := flag.Bool("json", false, "print the machine-readable headline digest instead of the text report")
 	progress := flag.Bool("progress", false, "report simulation progress, per-stage analysis timings and tomography solver effort on stderr")
 	memProfile := flag.String("mem-profile", "", "write a heap profile captured at the largest live heap sampled as records arrive")
 	maxHeapMB := flag.Int("max-heap-mb", 0, "exit nonzero if the peak live heap exceeds this many MiB (0 = no check)")
 	flag.Parse()
+	if *traceFile != "" && *metricsOut != "" {
+		fmt.Fprintln(os.Stderr, "dcanalyze: -metrics needs a simulated run; -trace has none")
+		os.Exit(2)
+	}
 
 	var aopts []dctraffic.AnalyzeOption
 	var reg *dctraffic.Registry
@@ -77,15 +77,14 @@ func main() {
 		aopts = append(aopts, dctraffic.WithAnalyzeProgress(hw.observe))
 	}
 
+	cfg := runConfigFor(*paper, *racks, *servers, *duration, *seed)
+	var rr *dctraffic.RunResult
 	var rep *dctraffic.Report
 	var err error
-	switch {
-	case *traceFile != "":
-		rep, err = analyzeTrace(*traceFile, runConfigFor(*paper, *racks, *servers, *duration, *seed), aopts)
-	case *fused:
-		rep, err = runFused(*paper, *racks, *servers, *duration, *seed, *progress, *metricsOut, aopts)
-	default:
-		rep, err = simulateAndAnalyze(*paper, *racks, *servers, *duration, *seed, *progress, *metricsOut, aopts)
+	if *traceFile != "" {
+		rep, err = analyzeTrace(*traceFile, cfg, aopts)
+	} else {
+		rr, rep, err = runAnalyze(cfg, *progress, *metricsOut, aopts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcanalyze:", err)
@@ -97,6 +96,12 @@ func main() {
 		snap := reg.Snapshot()
 		for _, ph := range snap.Phases {
 			fmt.Fprintf(os.Stderr, "%-20s %8.3fs\n", ph.Name, ph.Seconds)
+		}
+		if rr != nil && rr.Metrics != nil {
+			// The sweep steps the simulator, so analyze.figures includes
+			// the steps; the seam times them on their own.
+			fmt.Fprintf(os.Stderr, "%-20s %8.3fs  (trace.live.step_seconds, inside analyze.figures)\n",
+				"simulator steps", rr.Metrics.Value("trace.live.step_seconds"))
 		}
 		// Tomography solver effort: how hard the sparsity-max simplex
 		// worked, and how often window-to-window warm starts paid off.
@@ -147,9 +152,9 @@ func main() {
 	}
 }
 
-// runConfigFor builds the run configuration every path shares: the
-// two-phase and fused paths simulate it, and -trace analyzes against
-// its topology and duration.
+// runConfigFor builds the run configuration both paths share: the
+// simulating path runs it, and -trace analyzes against its topology and
+// duration. A zero duration keeps the configuration's own.
 func runConfigFor(paper bool, racks, servers int, duration time.Duration, seed uint64) dctraffic.RunConfig {
 	cfg := dctraffic.SmallRun()
 	if paper {
@@ -157,21 +162,27 @@ func runConfigFor(paper bool, racks, servers int, duration time.Duration, seed u
 	} else {
 		cfg.Topology.Racks = racks
 		cfg.Topology.ServersPerRack = servers
-		cfg.Duration = duration
 		cfg.Sched.JobsPerHour = 150 * float64(racks*servers) / 80
+	}
+	if duration != 0 {
+		cfg.Duration = duration
 	}
 	cfg.Seed = seed
 	cfg.Sched.Seed = seed
 	return cfg
 }
 
-// simRunOptions assembles the run options the simulating paths share:
-// the -progress reporter and the -metrics snapshot sink. The returned
-// closer flushes the metrics file after the run completes.
-func simRunOptions(progress bool, metricsPath string) (opts []dctraffic.RunOption, closeFn func() error, err error) {
-	closeFn = func() error { return nil }
+// runAnalyze simulates cfg and analyzes it on one goroutine: the
+// analysis sweep pulls the simulator's completed flows through the
+// watermarked live source and steps the run whenever it needs more, so
+// record-derived figures compute while the cluster still runs and no
+// record log is kept. With -progress both halves report interleaved on
+// stderr (the "sim" line from the run loop, the "analyze" line from the
+// sweep); -metrics writes the run's final snapshot.
+func runAnalyze(cfg dctraffic.RunConfig, progress bool, metricsPath string, aopts []dctraffic.AnalyzeOption) (*dctraffic.RunResult, *dctraffic.Report, error) {
+	var runOpts []dctraffic.RunOption
 	if progress {
-		opts = append(opts, dctraffic.WithProgress(func(p dctraffic.Progress) {
+		runOpts = append(runOpts, dctraffic.WithProgress(func(p dctraffic.Progress) {
 			fmt.Fprintf(os.Stderr, "\rsim %3.0f%%  t=%v  events=%d  records=%d",
 				100*p.Frac(), p.SimTime, p.Events, p.Records)
 			if p.Frac() >= 1 {
@@ -179,63 +190,28 @@ func simRunOptions(progress bool, metricsPath string) (opts []dctraffic.RunOptio
 			}
 		}))
 	}
+	closeMetrics := func() error { return nil }
 	if metricsPath != "" {
 		f, err := os.Create(metricsPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		opts = append(opts, dctraffic.WithMetricsSink(f))
-		closeFn = f.Close
-	}
-	return opts, closeFn, nil
-}
-
-// simulateAndAnalyze is the default path: fresh run, full figure set.
-func simulateAndAnalyze(paper bool, racks, servers int, duration time.Duration, seed uint64, progress bool, metricsPath string, aopts []dctraffic.AnalyzeOption) (*dctraffic.Report, error) {
-	cfg := runConfigFor(paper, racks, servers, duration, seed)
-	runOpts, closeMetrics, err := simRunOptions(progress, metricsPath)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := dctraffic.Run(context.Background(), cfg, runOpts...)
-	if err != nil {
-		closeMetrics()
-		return nil, err
-	}
-	rep, err := dctraffic.AnalyzeRun(context.Background(), rr, aopts...)
-	if cerr := closeMetrics(); err == nil && cerr != nil {
-		return nil, cerr
-	}
-	return rep, err
-}
-
-// runFused interleaves the two dominant phases on one goroutine: the
-// analysis sweep pulls the simulator's completed flows through the
-// watermarked live source and steps the run whenever it needs more, so
-// record-derived figures compute while the cluster still runs and the
-// trace is never sorted into a second copy. With -progress both phases
-// report interleaved on stderr (the "sim" line from the run loop, the
-// "analyze" line from the sweep). Figures are bit-identical to the
-// two-phase default.
-func runFused(paper bool, racks, servers int, duration time.Duration, seed uint64, progress bool, metricsPath string, aopts []dctraffic.AnalyzeOption) (*dctraffic.Report, error) {
-	cfg := runConfigFor(paper, racks, servers, duration, seed)
-	runOpts, closeMetrics, err := simRunOptions(progress, metricsPath)
-	if err != nil {
-		return nil, err
+		runOpts = append(runOpts, dctraffic.WithMetricsSink(f))
+		closeMetrics = f.Close
 	}
 	aopts = append(aopts, dctraffic.WithRunOptions(runOpts...))
-	_, rep, err := dctraffic.RunAnalyze(context.Background(), cfg, aopts...)
+	rr, rep, err := dctraffic.RunAnalyze(context.Background(), cfg, aopts...)
 	if cerr := closeMetrics(); err == nil && cerr != nil {
-		return nil, cerr
+		return nil, nil, cerr
 	}
-	return rep, err
+	return rr, rep, err
 }
 
 // analyzeTrace streams a trace file through the bounded-memory pipeline:
 // records flow from the file source straight into the sweep's sliding
 // window and online accumulators, so memory stays O(window) no matter
 // how long the trace is. The topology and duration are cfg's, the run
-// configuration the simulating paths would use. Run-only figures (5-8,
+// configuration the simulating path would use. Run-only figures (5-8,
 // tomography, attribution) stay zero.
 func analyzeTrace(path string, cfg dctraffic.RunConfig, aopts []dctraffic.AnalyzeOption) (*dctraffic.Report, error) {
 	top, err := dctraffic.NewTopology(cfg.Topology)

@@ -81,3 +81,23 @@ func TestAnalyzeTraceHonoursPaper(t *testing.T) {
 		t.Fatalf("8x10 default: error %v, want one naming record 1's src", err)
 	}
 }
+
+// -duration applies with -paper too, and its zero default keeps each
+// configuration's own window.
+func TestRunConfigForDuration(t *testing.T) {
+	for _, c := range []struct {
+		paper    bool
+		duration time.Duration
+		want     time.Duration
+	}{
+		{true, 30 * time.Minute, 30 * time.Minute},
+		{true, 0, 24 * time.Hour},
+		{false, 30 * time.Minute, 30 * time.Minute},
+		{false, 0, 2 * time.Hour},
+	} {
+		cfg := runConfigFor(c.paper, 8, 10, c.duration, 1)
+		if cfg.Duration != c.want {
+			t.Errorf("runConfigFor(paper=%v, duration=%v): duration %v, want %v", c.paper, c.duration, cfg.Duration, c.want)
+		}
+	}
+}

@@ -3,9 +3,10 @@
 // to -n runs in flight, one goroutine each, and an admission gate caps
 // in-flight runs by estimated peak heap (derived from GOMEMLIMIT unless
 // -max-heap-mb overrides it).
-// Per-run reports are bit-identical to standalone dcanalyze -fused at
-// any concurrency; the per-run digest in the manifest is the proof
-// handle.
+// Per-run reports are bit-identical to standalone dcanalyze at any
+// concurrency; the per-run digest in the manifest is the proof handle.
+// -duration and -drain default to the configuration's own (2h and 30m,
+// or 24h and 1h with -paper); an explicit value applies to either.
 //
 //	dcsweep -racks 8 -servers 10 -duration 30m -seeds 1,2,3 \
 //	        -fabrics tree,multipath -n 2 \
@@ -29,11 +30,11 @@ import (
 func main() {
 	racks := flag.Int("racks", 8, "number of racks")
 	servers := flag.Int("servers", 10, "servers per rack")
-	duration := flag.Duration("duration", 2*time.Hour, "instrumented window per run")
-	drain := flag.Duration("drain", 30*time.Minute, "post-window drain per run")
+	duration := flag.Duration("duration", 0, "instrumented window per run (0 = the configuration's own: 2h, or 24h with -paper)")
+	drain := flag.Duration("drain", 0, "post-window drain per run (0 = the configuration's own: 30m, or 1h with -paper)")
 	seeds := flag.String("seeds", "1,2,3", "comma-separated simulation seeds, one run per seed per fabric")
 	fabrics := flag.String("fabrics", "tree", "comma-separated fabrics to sweep: tree, multipath")
-	paper := flag.Bool("paper", false, "use the paper-scale configuration (75 racks x 20 servers, 24h) instead of -racks/-servers/-duration")
+	paper := flag.Bool("paper", false, "use the paper-scale configuration (75 racks x 20 servers, 24h) instead of -racks/-servers")
 	concurrency := flag.Int("n", 0, "pipelines in flight (0 = GOMAXPROCS)")
 	maxHeapMB := flag.Int("max-heap-mb", 0, "in-flight estimated-heap budget in MiB (0 = 80% of GOMEMLIMIT when set, negative = no gate)")
 	metricsOut := flag.String("metrics", "", "write the merged fleet metrics snapshot (fleet.* + per-run runN.* + cross-run rollup) to this file")
@@ -107,7 +108,7 @@ func main() {
 
 // buildSpecs expands seeds × fabrics into the config-ordered sweep:
 // fabrics outermost so tree runs (the reference fabric) carry the low
-// indices.
+// indices. A zero duration or drain keeps the configuration's own.
 func buildSpecs(paper bool, racks, servers int, duration, drain time.Duration, seedsCSV, fabricsCSV string) ([]fleet.RunSpec, error) {
 	var seedList []uint64
 	for _, s := range strings.Split(seedsCSV, ",") {
@@ -144,9 +145,13 @@ func buildSpecs(paper bool, racks, servers int, duration, drain time.Duration, s
 			} else {
 				cfg.Topology.Racks = racks
 				cfg.Topology.ServersPerRack = servers
-				cfg.Duration = duration
-				cfg.DrainTime = drain
 				cfg.Sched.JobsPerHour = 150 * float64(racks*servers) / 80
+			}
+			if duration != 0 {
+				cfg.Duration = duration
+			}
+			if drain != 0 {
+				cfg.DrainTime = drain
 			}
 			cfg.Topology.MultiPath = multipath
 			cfg.Seed = seed

@@ -24,9 +24,9 @@
 //
 // Analysis takes the same functional-option shape: AnalyzeRun for a
 // completed run, AnalyzeSource for a trace file streamed in bounded
-// memory (see OpenTraceFile), with WithInactivityTimeout,
-// WithCDFSampleCap and friends tuning the figures. Each analysis runs
-// on the goroutine that calls it.
+// memory (see OpenTraceFile), with WithInactivityTimeout and friends
+// tuning the figures. Each analysis runs on the goroutine that calls
+// it.
 //
 // RunAnalyze fuses the two phases on the caller's goroutine: the
 // analysis pulls records through a watermarked reorder buffer and steps
@@ -116,9 +116,10 @@ type (
 func SmallRun() RunConfig { return core.SmallRun() }
 
 // PaperRun returns the paper-scale configuration (1500 servers, 24 h).
-// On a 2-CPU x86-64 host, simulating and analyzing it took 46 s, with
-// 1.07 GB of peak live heap and 1.9 GiB of peak RSS (EXPERIMENTS.md
-// "Only the links an analysis reads").
+// On a 2-CPU x86-64 host, `dcanalyze -paper` simulated and analyzed it
+// in 28–40 s over six runs, with 0.46–0.57 GB of peak live heap and
+// 0.95–1.03 GiB of peak RSS (EXPERIMENTS.md "One simulate-and-analyze
+// path").
 func PaperRun() RunConfig { return core.PaperRun() }
 
 // Run builds the cluster and runs the workload under socket-level
@@ -216,11 +217,6 @@ func WithAnalyzeObserver(reg *Registry) AnalyzeOption { return core.WithAnalysis
 // WithInactivityTimeout applies the §3 flow-boundary methodology before
 // the flow-level analyses.
 func WithInactivityTimeout(d Time) AnalyzeOption { return core.WithInactivityTimeout(d) }
-
-// WithCDFSampleCap bounds each whole-run CDF's exact sample count
-// before it degrades to a bounded-error quantile sketch; negative keeps
-// every CDF exact.
-func WithCDFSampleCap(n int) AnalyzeOption { return core.WithCDFSampleCap(n) }
 
 // WithAnalyzeProgress delivers a StreamProgress report at every window
 // boundary of the streaming sweep.

@@ -33,15 +33,8 @@ type analyzeConfig struct {
 	top      *topology.Topology
 	duration netsim.Time
 	run      *RunResult
-	cdfCap   int
 	progress func(StreamProgress)
-
-	// Fused-pipeline fields (see fused.go). live marks the source as a
-	// still-running simulation's LiveSource: congestion episodes are
-	// tracked as the link bins become final, and tomography waits until
-	// the source drains, because it reads the job event log.
-	live    *trace.LiveSource
-	runOpts []RunOption
+	runOpts  []RunOption // RunAnalyze's simulator options (see fused.go)
 }
 
 // WithRun supplies the run whose trace is being analyzed: its topology
@@ -90,15 +83,6 @@ func WithAnalysisObserver(reg *obs.Registry) AnalyzeOption {
 // than the timeout merge into one flow.
 func WithInactivityTimeout(d netsim.Time) AnalyzeOption {
 	return func(c *analyzeConfig) { c.InactivityTimeout = d }
-}
-
-// WithCDFSampleCap bounds the exact-sample count of each whole-run
-// streaming CDF (flow durations/rates, inter-arrivals, Figure 7 rates)
-// before it converts to a bounded quantile sketch. 0 selects
-// stats.DefaultCDFSampleCap; negative keeps every CDF exact regardless
-// of trace length (unbounded memory — the pre-streaming behavior).
-func WithCDFSampleCap(n int) AnalyzeOption {
-	return func(c *analyzeConfig) { c.cdfCap = n }
 }
 
 // StreamProgress reports the sweep's position after each window
@@ -196,11 +180,10 @@ type tomoSlot struct {
 // pinned digests.
 const recordShardTarget = 1 << 17
 
-// tomoDeferred is one tomography window parked by the fused pipeline:
-// the window's ToR matrix is computed at its sweep boundary (from the
-// slice the two-phase path sees) but solved only after the simulation
-// drains, because the job event log it reads is written until then.
-type tomoDeferred struct {
+// parkedWindow is one tomography window parked at its sweep boundary:
+// its ToR matrix, computed from the window's slice, waits there until
+// the job event log the estimator chain reads is final (solveParked).
+type parkedWindow struct {
 	idx   int
 	from  netsim.Time
 	truth *tm.Matrix
@@ -214,13 +197,6 @@ type streamAnalysis struct {
 	duration netsim.Time
 	numHosts int
 	taskCnt  *obs.Counter
-
-	// fused marks a live (still-running-simulation) source: the episode
-	// tracker follows the simulation's link bins and tomography is
-	// deferred to finishRun; record-derived work streams as usual. See
-	// fused.go.
-	fused       bool
-	tomoPending []tomoDeferred
 
 	src    trace.Source
 	peeked *trace.FlowRecord
@@ -257,7 +233,8 @@ type streamAnalysis struct {
 	fig34Slots   []fig34Slot
 	ring         *tm.ChangeRing
 
-	// tomography: one warm-start chain
+	// tomography: one warm-start chain, fed by the parked windows
+	tomoParked             []parkedWindow
 	tomoProblem            *tomo.Problem
 	tomoEst                *tomo.Estimator
 	tomoSlots              []tomoSlot
@@ -284,18 +261,30 @@ type streamAnalysis struct {
 // trackers, the windowed flow reassembler, the congestion record join),
 // computes each closing window inline in boundary order — Figure 10
 // bins go straight into the change ring — and retires every record no
-// open window can reach. Each record joins the congestion episodes once
-// the link bin holding its End is final, which on a finished run is at
-// once, and feeds the Figure 7 CDFs, the attribution and Figure 8's
-// per-flow congested bits. Everything runs
-// on the calling goroutine. Whole-run statistics stay exact below the
-// WithCDFSampleCap sample cap and degrade to deterministic bounded
-// quantile sketches beyond it, so small-scale reports are bit-identical
-// to the in-memory path while week-long traces run in O(window) memory.
+// open window can reach. Everything runs on the calling goroutine.
+// Whole-run statistics stay exact up to stats.DefaultCDFSampleCap
+// samples and degrade to deterministic bounded quantile sketches beyond
+// it, so week-long traces run in O(window) memory.
 //
-// The three obs phases are unchanged from the in-memory pipeline:
-// "analyze.index" (validation, episode tracker, window registry),
-// "analyze.figures" (the sweep and the record-figure merges),
+// The run-derived inputs are taken by rules that read the run's own
+// state, so a finished run (AnalyzeRun) and one still running under the
+// sweep (RunAnalyze) take the same sweep, bit for bit:
+//   - each record joins the congestion episodes, feeding the Figure 7
+//     CDFs, the attribution and Figure 8's per-flow congested bits, once
+//     the link bin holding its End ends at or before the network's last
+//     accrual;
+//   - each tomography window parks its ToR matrix at its boundary, and
+//     the parked windows are solved in window order once the job event
+//     log is final (solveParked).
+//
+// A finished run's last step flushed the network and ended its clock at
+// the horizon, so both inputs are final from the start: records join as
+// they arrive and each window is solved at its own boundary.
+//
+// The three obs phases are "analyze.index" (validation, episode
+// tracker, window registry), "analyze.figures" (the sweep and the
+// record-figure merges; on a RunAnalyze run it includes the simulator
+// steps the sweep pulls, which trace.live.step_seconds totals) and
 // "analyze.congestion" (Figures 5–8, incast, attribution).
 //
 // It returns an error on cancellation, on a source read failure, on a
@@ -314,9 +303,6 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 		return nil, errors.New("core: AnalyzeSource needs a positive duration: pass WithRun or WithDuration")
 	}
 	cfg.AnalyzeOptions = cfg.AnalyzeOptions.ApplyDefaults(cfg.duration)
-	if cfg.live != nil && cfg.run == nil {
-		return nil, errors.New("core: fused analysis needs its run: use RunAnalyze")
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: analyze canceled: %w", err)
 	}
@@ -331,7 +317,6 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 		numHosts: cfg.top.NumHosts(),
 		src:      src,
 		wv:       trace.NewWindowView(),
-		fused:    cfg.live != nil,
 	}
 
 	stopIndex := reg.StartPhase("analyze.index")
@@ -345,13 +330,6 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 			return nil, fmt.Errorf("core: analyze canceled: %w", ctx.Err())
 		}
 		return nil, fmt.Errorf("core: analyze: %w", err)
-	}
-	if a.fused {
-		// The source hit EOF, so the producing simulation has finished:
-		// the job event log is final and the deferred tomography can run.
-		if err := a.finishRun(ctx); err != nil {
-			return nil, fmt.Errorf("core: analyze canceled: %w", err)
-		}
 	}
 	reg.Counter("analyze.records_total").Add(a.wv.Delivered())
 	rep := &Report{}
@@ -372,8 +350,8 @@ func (a *streamAnalysis) setup() {
 	duration := a.duration
 
 	a.incast = congestion.NewIncastTracker(a.top)
-	a.ia = flows.NewInterArrivalTracker(a.top, cfg.cdfCap)
-	a.fig9 = flows.NewSummaryTracker(duration, cfg.cdfCap)
+	a.ia = flows.NewInterArrivalTracker(a.top, 0)
+	a.fig9 = flows.NewSummaryTracker(duration, 0)
 	if cfg.InactivityTimeout > 0 {
 		a.reasm = flows.NewStreamReassembler(cfg.InactivityTimeout, a.consumeFlow)
 	}
@@ -383,12 +361,7 @@ func (a *streamAnalysis) setup() {
 		st := rr.Net.Stats()
 		a.binSize = st.BinSize()
 		a.tracker = congestion.NewEpisodeTracker(st, a.top, cfg.CongestionThreshold, a.links)
-		if !a.fused {
-			// A finished run's link bins are final: every record joins
-			// as it is delivered.
-			a.tracker.Close()
-		}
-		a.join = congestion.NewRecordJoin(a.tracker.Index(), a.top, cfg.cdfCap)
+		a.join = congestion.NewRecordJoin(a.tracker.Index(), a.top, 0)
 		a.tomoProblem = tomo.NewProblem(a.top)
 		a.tomoEst = a.tomoProblem.NewEstimator(tomo.EstimatorOptions{})
 		a.xTrue = make([]float64, a.tomoProblem.NumPairs())
@@ -459,6 +432,9 @@ func (a *streamAnalysis) sweep(ctx context.Context) error {
 			a.dispatch(&a.wins[i])
 			i++
 		}
+		if err := a.solveParked(ctx); err != nil {
+			return err
+		}
 		a.wv.Retire(a.sufMin[i])
 		a.reg.Gauge("analyze.stream.peak_buffered_records").SetMax(float64(a.wv.Buffered()))
 		if a.cfg.progress != nil {
@@ -493,7 +469,7 @@ func (a *streamAnalysis) sweep(ctx context.Context) error {
 		}
 		a.eps = a.tracker.Episodes()
 	}
-	return nil
+	return a.solveParked(ctx)
 }
 
 // advance delivers every source record with Start < boundary and seals
@@ -575,15 +551,13 @@ func (a *streamAnalysis) consumeFlow(r trace.FlowRecord) {
 }
 
 // joinFinal joins the queued records, in delivery order, up to the
-// first whose End lies in a link bin that may still change. On the
-// fused path it first advances the tracker to the bins the network has
-// finished accruing: bytes accrue lazily, at the next network event, so
-// the simulated clock can run ahead of them. Every recordShardTarget
-// joined records seal an attribution part.
+// first whose End lies in a link bin that may still change. It first
+// advances the tracker to the bins the network has finished accruing:
+// bytes accrue lazily, at the next network event, so the simulated clock
+// can run ahead of them. Every recordShardTarget joined records seal an
+// attribution part.
 func (a *streamAnalysis) joinFinal() {
-	if a.fused {
-		a.tracker.Advance(int(a.cfg.run.Net.LastAccrual() / a.binSize))
-	}
+	a.tracker.Advance(int(a.cfg.run.Net.LastAccrual() / a.binSize))
 	final := a.tracker.Final()
 	for ; a.joinHead < len(a.joinQ); a.joinHead++ {
 		r := &a.joinQ[a.joinHead]
@@ -608,7 +582,8 @@ func (a *streamAnalysis) joinFinal() {
 
 // dispatch computes a closing window from its slice copy. Windows
 // arrive in boundary order, so Figure 10 bins reach the change ring in
-// bin order and tomography windows extend one warm-start chain.
+// bin order and tomography windows park in the order that extends one
+// warm-start chain.
 func (a *streamAnalysis) dispatch(w *figWindow) {
 	from, to := w.from, w.to
 	slice := a.wv.Slice(from, to)
@@ -636,33 +611,35 @@ func (a *streamAnalysis) dispatch(w *figWindow) {
 	case winFig10:
 		a.ring.Push(tm.ServerMatrix(slice, a.numHosts, from, to))
 	case winTomo:
-		truth := tm.TorMatrix(slice, a.top, from, to)
-		if a.fused {
-			// The estimator chain reads the job event log, which the
-			// still-running simulation is writing: park the window's
-			// matrix (computed here, from the two-phase slice) and solve
-			// the chain in window order in finishRun.
-			a.tomoPending = append(a.tomoPending, tomoDeferred{idx: w.idx, from: from, truth: truth})
-			return
-		}
-		a.tomoWindow(w.idx, from, truth)
+		// The estimator chain reads the job event log: park the window's
+		// matrix until the log is final (solveParked).
+		a.tomoParked = append(a.tomoParked, parkedWindow{idx: w.idx, from: from, truth: tm.TorMatrix(slice, a.top, from, to)})
+		a.reg.Gauge("analyze.tomo.parked_windows_peak").SetMax(float64(len(a.tomoParked)))
 	}
 }
 
-// finishRun solves the tomography windows a fused sweep parked. It
-// runs after the source hit EOF — the simulation's last step has run,
-// so the job event log is final — and walks the windows in the order
-// the two-phase path solves them, so results are bit-identical.
-func (a *streamAnalysis) finishRun(ctx context.Context) error {
-	for i := range a.tomoPending {
+// solveParked solves the parked tomography windows in window order once
+// the job event log their multipliers read is final. The log is final
+// once the simulation clock has reached the run's horizon, because the
+// closing Flush appends nothing to it. A finished run's log is final
+// from the start, so the sweep solves each window at its own boundary;
+// a RunAnalyze run's windows wait until its last batch has run.
+func (a *streamAnalysis) solveParked(ctx context.Context) error {
+	if len(a.tomoParked) == 0 {
+		return nil
+	}
+	if rr := a.cfg.run; rr.Net.Now() < rr.Config.horizon() {
+		return nil
+	}
+	for i := range a.tomoParked {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		d := &a.tomoPending[i]
-		a.tomoWindow(d.idx, d.from, d.truth)
-		d.truth = nil
+		p := &a.tomoParked[i]
+		a.tomoWindow(p.idx, p.from, p.truth)
+		p.truth = nil
 	}
-	a.tomoPending = nil
+	a.tomoParked = a.tomoParked[:0]
 	return nil
 }
 

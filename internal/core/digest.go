@@ -12,8 +12,7 @@ import (
 // bit-by-bit, and the formatted remainder of the struct (fmt prints
 // maps in sorted key order, so the formatting is deterministic). Two
 // reports produced by deterministically-equivalent executions — any
-// GOMAXPROCS, streaming or in-memory, fused or two-phase, fleet or
-// standalone — hash
+// GOMAXPROCS, AnalyzeRun or RunAnalyze, fleet or standalone — hash
 // identically. The digest is what TestFleetMatchesStandalone asserts
 // and what the dcsweep manifest records per run.
 func ReportDigest(rep *Report) (string, error) {

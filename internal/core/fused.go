@@ -14,12 +14,6 @@ func WithRunOptions(opts ...RunOption) AnalyzeOption {
 	return func(c *analyzeConfig) { c.runOpts = append(c.runOpts, opts...) }
 }
 
-// withLiveSource marks the analysis as the consumer half of a fused
-// pipeline (internal; set by RunAnalyze).
-func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
-	return func(c *analyzeConfig) { c.live = ls }
-}
-
 // RunAnalyze fuses the simulate and analyze phases on the calling
 // goroutine: it builds the cluster and streams the completed-flow
 // records through a trace.LiveSource into AnalyzeSource. The analysis
@@ -28,11 +22,14 @@ func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
 // the incast record pass) compute while the simulation is still
 // producing. Congestion episodes are tracked as the link bins become
 // final, and each record joins them (Figures 7 and 8, attribution) as
-// soon as the bin holding its End is final; only tomography and the
-// overhead model wait for the end of the run. The §2 compression ratio
-// is measured as records complete, on the collector's meter goroutine.
-// The report is bit-identical to Run followed by AnalyzeRun at any
-// GOMAXPROCS (enforced by TestRunAnalyzeMatchesTwoPhase).
+// soon as the bin holding its End is final; only tomography, whose
+// windows park their ToR matrices until the job event log is final, and
+// the overhead model wait for the end of the run. AnalyzeSource runs the
+// same sweep as for a finished run: these rules read the run's state,
+// not the caller. The §2 compression ratio is measured as records
+// complete, on the collector's meter goroutine. The report is
+// bit-identical to Run followed by AnalyzeRun at any GOMAXPROCS
+// (enforced by TestRunAnalyzeMatchesTwoPhase).
 //
 // The collector hands each record to the source instead of logging it,
 // so the returned RunResult has no record log (Records is nil,
@@ -74,9 +71,7 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (rr *
 		}
 	}()
 
-	analyzeOpts := append([]AnalyzeOption{WithRun(p.rr)}, opts...)
-	analyzeOpts = append(analyzeOpts, withLiveSource(live))
-	rep, err = AnalyzeSource(ctx, live, analyzeOpts...)
+	rep, err = AnalyzeSource(ctx, live, append([]AnalyzeOption{WithRun(p.rr)}, opts...)...)
 	if err != nil {
 		if simErr != nil {
 			return nil, nil, simErr

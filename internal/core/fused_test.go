@@ -108,6 +108,42 @@ func TestRunAnalyzeObservability(t *testing.T) {
 	if peak := snap.Value("trace.live.buffered_peak"); peak <= 0 {
 		t.Fatalf("buffered_peak %v, want > 0", peak)
 	}
+	if steps := snap.Value("trace.live.step_seconds"); steps <= 0 {
+		t.Fatalf("step_seconds %v, want > 0 (the sweep stepped the simulator)", steps)
+	}
+}
+
+// TestTomographySchedule pins when the sweep solves tomography windows.
+// A finished run's event log is final, so AnalyzeRun solves each window
+// at its own boundary and never parks more than one ToR matrix. A
+// RunAnalyze run's log is final only after its last batch, so its
+// windows wait parked. Both give the same report.
+func TestTomographySchedule(t *testing.T) {
+	cfg := fusedTestConfig(1)
+	cfg.Duration = 10 * time.Minute
+	rr, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	rep, err := AnalyzeRun(context.Background(), rr, WithAnalysisObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak := reg.Snapshot().Value("analyze.tomo.parked_windows_peak"); peak != 1 {
+		t.Fatalf("AnalyzeRun parked up to %v tomography windows, want 1", peak)
+	}
+	liveReg := obs.NewRegistry()
+	_, liveRep, err := RunAnalyze(context.Background(), cfg, WithAnalysisObserver(liveReg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak := liveReg.Snapshot().Value("analyze.tomo.parked_windows_peak"); peak <= 1 {
+		t.Fatalf("RunAnalyze parked up to %v tomography windows, want more than 1", peak)
+	}
+	if got, want := reportDigest(t, liveRep), reportDigest(t, rep); got != want {
+		t.Fatalf("RunAnalyze digest %s != AnalyzeRun %s", got, want)
+	}
 }
 
 // TestRunAnalyzeKeepsNoLog checks that a fused run's collector hands

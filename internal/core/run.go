@@ -52,6 +52,10 @@ type RunConfig struct {
 	Seed uint64
 }
 
+// horizon is the simulated time a run ends at: the instrumented window
+// plus the drain.
+func (c RunConfig) horizon() netsim.Time { return c.Duration + c.DrainTime }
+
 // SmallRun returns a laptop-scale configuration: the 80-server topology
 // with a two-hour instrumented window.
 func SmallRun() RunConfig {
@@ -68,10 +72,10 @@ func SmallRun() RunConfig {
 }
 
 // PaperRun returns the paper-scale configuration: 75 racks × 20 servers
-// and a full day. On a 2-CPU x86-64 host, simulating and analyzing it
-// (dcanalyze -paper) took 40 s, with 0.95 GB of peak live heap and
-// 1.9 GiB of peak RSS; fused (-fused), 36 s, 0.57 GB and 1.0 GiB. See
-// EXPERIMENTS.md "A fused run keeps no records".
+// and a full day. On a 2-CPU x86-64 host shared with other work,
+// simulating and analyzing it (dcanalyze -paper) took 28–40 s over six
+// runs, with 0.46–0.57 GB of peak live heap and 0.95–1.03 GiB of peak
+// RSS. See EXPERIMENTS.md "One simulate-and-analyze path".
 func PaperRun() RunConfig {
 	sc := sched.DefaultConfig()
 	sc.JobsPerHour = 900 // scale arrivals with cluster size
@@ -335,7 +339,7 @@ func (p *preparedRun) step(ctx context.Context) (done bool, err error) {
 	reg := o.reg
 	rr := p.rr
 	net, collector, cluster := rr.Net, rr.Collector, rr.Cluster
-	total := rr.Config.Duration + rr.Config.DrainTime
+	total := rr.Config.horizon()
 	if p.stopSim == nil {
 		p.stopSim = reg.StartPhase("simulate")
 		p.peakQueue = reg.Gauge("netsim.queue_depth_peak")

@@ -124,17 +124,6 @@ func (l *Log) Reads() []ReadAttempt { return l.reads }
 // Membership returns all job-membership records.
 func (l *Log) Membership() []JobMembership { return l.membership }
 
-// FilterType returns lifecycle records of the given type within [from, to).
-func (l *Log) FilterType(t EventType, from, to netsim.Time) []Record {
-	var out []Record
-	for _, r := range l.records {
-		if r.Type == t && r.Time >= from && r.Time < to {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // CountType counts lifecycle records of the given type.
 func (l *Log) CountType(t EventType) int {
 	n := 0
@@ -162,16 +151,4 @@ func (l *Log) ReadFailureStats(from, to netsim.Time) (attempts, failures int, p 
 		p = float64(failures) / float64(attempts)
 	}
 	return attempts, failures, p
-}
-
-// JobsOnServer returns the set of jobs with a vertex on srv overlapping
-// [from, to), used to build the job-shared prior.
-func (l *Log) JobsOnServer(srv topology.ServerID, from, to netsim.Time) map[int]bool {
-	out := make(map[int]bool)
-	for _, m := range l.membership {
-		if m.Server == srv && m.Start < to && m.End > from {
-			out[m.Job] = true
-		}
-	}
-	return out
 }

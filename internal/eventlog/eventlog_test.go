@@ -14,10 +14,6 @@ func TestAppendAndFilter(t *testing.T) {
 	if got := l.CountType(JobSubmitted); got != 2 {
 		t.Fatalf("CountType = %d, want 2", got)
 	}
-	got := l.FilterType(JobSubmitted, 0, 6*time.Second)
-	if len(got) != 1 || got[0].Name != "j1" {
-		t.Fatalf("FilterType = %v", got)
-	}
 	if len(l.Records()) != 4 {
 		t.Fatalf("Records = %d", len(l.Records()))
 	}
@@ -58,21 +54,6 @@ func TestReadOverlaps(t *testing.T) {
 		if got := r.Overlaps(c.from, c.to); got != c.want {
 			t.Errorf("Overlaps(%v,%v) = %v, want %v", c.from, c.to, got, c.want)
 		}
-	}
-}
-
-func TestJobsOnServer(t *testing.T) {
-	var l Log
-	l.AppendMembership(JobMembership{Job: 1, Server: 5, Start: 0, End: 10 * time.Second})
-	l.AppendMembership(JobMembership{Job: 2, Server: 5, Start: 20 * time.Second, End: 30 * time.Second})
-	l.AppendMembership(JobMembership{Job: 3, Server: 6, Start: 0, End: 10 * time.Second})
-	jobs := l.JobsOnServer(5, 0, 15*time.Second)
-	if len(jobs) != 1 || !jobs[1] {
-		t.Fatalf("JobsOnServer = %v", jobs)
-	}
-	jobs = l.JobsOnServer(5, 0, 25*time.Second)
-	if len(jobs) != 2 {
-		t.Fatalf("JobsOnServer = %v", jobs)
 	}
 }
 

@@ -53,10 +53,10 @@ type Options struct {
 	// negative disables the gate.
 	MaxHeapMB int
 
-	// AnalyzeOpts is appended to every run's RunAnalyze options —
-	// figure knobs, CDF caps and the like. Options that would collide
-	// with the executor's own wiring (WithRunOptions,
-	// WithAnalysisObserver) must not be passed here.
+	// AnalyzeOpts is appended to every run's RunAnalyze options, such
+	// as WithInactivityTimeout. Options that would collide with the
+	// executor's own wiring (WithRunOptions, WithAnalysisObserver) must
+	// not be passed here.
 	AnalyzeOpts []core.AnalyzeOption
 
 	// OnRunDone, when set, is called as each run finishes, serialized
@@ -79,7 +79,7 @@ type RunOutcome struct {
 	EstMB        int   // the admission estimate charged for this run
 	Waited       bool  // blocked on the memory gate before launch
 	Records      int64 // trace records analyzed (analyze.records_total)
-	PeakBuffered int64 // live reorder-buffer peak (analyze.stream.peak_buffered_records)
+	PeakBuffered int64 // peak records in the sweep's window view (analyze.stream.peak_buffered_records)
 
 	// SimMetrics and AnalyzeMetrics are the run's two registry
 	// snapshots (the simulation and analysis sides of the fused

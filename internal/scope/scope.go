@@ -20,10 +20,7 @@
 // scheduler (internal/sched) decides placement and generates flows.
 package scope
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // PhaseType classifies a workflow phase.
 type PhaseType uint8
@@ -297,41 +294,4 @@ func InteractiveJob(name, input string, inputBytes int64) *JobSpec {
 			{Type: Aggregate, Selectivity: 0.05, Fanout: 1},
 		},
 	}
-}
-
-// DOT renders the workflow as a Graphviz digraph: one node per phase with
-// its vertex count and data volumes, one edge per dependency. Useful for
-// documenting and debugging job structures.
-func (w *Workflow) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n  node [shape=box];\n", w.Spec.Name)
-	for _, p := range w.Phases {
-		fmt.Fprintf(&b, "  p%d [label=\"%s #%d\\n%d vertices\\nin %s out %s\"];\n",
-			p.Index, p.Type, p.Index, len(p.Vertices),
-			humanBytes(p.InputBytes), humanBytes(p.OutputBytes))
-	}
-	for _, p := range w.Phases {
-		for _, d := range p.Deps {
-			style := ""
-			if p.Pipelined {
-				style = " [style=dashed]" // pipelined edge, no barrier
-			}
-			fmt.Fprintf(&b, "  p%d -> p%d%s;\n", d.Index, p.Index, style)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// humanBytes renders a byte count compactly.
-func humanBytes(v int64) string {
-	switch {
-	case v >= 1<<30:
-		return fmt.Sprintf("%.1fGB", float64(v)/(1<<30))
-	case v >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(v)/(1<<20))
-	case v >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(v)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", v)
 }

@@ -1,7 +1,6 @@
 package scope
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -218,21 +217,4 @@ func TestMultiRoundJob(t *testing.T) {
 	if w2, err := Compile(MultiRoundJob("x", "d", 1<<30, 0)); err != nil || len(w2.Phases) != 4 {
 		t.Fatalf("clamped rounds: %v phases, err %v", len(w2.Phases), err)
 	}
-}
-
-func TestWorkflowDOT(t *testing.T) {
-	w, err := Compile(FilterAggregateJob("viz", "d", 1<<30, 0.5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dot := w.DOT()
-	for _, want := range []string{"digraph", "extract #0", "p0 -> p1", "p2 -> p3", "style=dashed"} {
-		if !containsStr(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-}
-
-func containsStr(haystack, needle string) bool {
-	return len(haystack) >= len(needle) && strings.Contains(haystack, needle)
 }

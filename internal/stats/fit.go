@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Pearson returns the Pearson correlation coefficient of the paired samples
 // xs and ys. It returns 0 when either side has zero variance or the slices
@@ -55,41 +52,6 @@ func LinFit(xs, ys []float64) (a, b float64) {
 	}
 	b = sxy / sxx
 	return my - b*mx, b
-}
-
-// KolmogorovSmirnov returns the two-sample KS statistic: the maximum
-// absolute difference between the empirical CDFs of a and b. Used to
-// quantify how closely model-generated distributions match measured ones.
-// Returns 1 when either sample is empty (maximal distance by convention).
-func KolmogorovSmirnov(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 1
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	i, j := 0, 0
-	maxD := 0.0
-	for i < len(as) && j < len(bs) {
-		var x float64
-		if as[i] <= bs[j] {
-			x = as[i]
-		} else {
-			x = bs[j]
-		}
-		for i < len(as) && as[i] <= x {
-			i++
-		}
-		for j < len(bs) && bs[j] <= x {
-			j++
-		}
-		d := math.Abs(float64(i)/float64(len(as)) - float64(j)/float64(len(bs)))
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
 }
 
 // LogFit fits y = a + b·ln(x) by least squares over the points with x > 0

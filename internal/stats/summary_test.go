@@ -192,35 +192,3 @@ func TestLogFit(t *testing.T) {
 		t.Fatalf("LogFit with skips = (%v, %v), want (2, 3)", a2, b2)
 	}
 }
-
-func TestKolmogorovSmirnov(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if d := KolmogorovSmirnov(a, a); d != 0 {
-		t.Fatalf("KS of identical samples = %v, want 0", d)
-	}
-	b := []float64{100, 200, 300}
-	if d := KolmogorovSmirnov(a, b); d != 1 {
-		t.Fatalf("KS of disjoint samples = %v, want 1", d)
-	}
-	if d := KolmogorovSmirnov(nil, a); d != 1 {
-		t.Fatalf("KS with empty sample = %v, want 1", d)
-	}
-	// Same distribution, different draws: KS small for large n.
-	r := NewRNG(30)
-	x := make([]float64, 5000)
-	y := make([]float64, 5000)
-	for i := range x {
-		x[i] = r.NormFloat64()
-		y[i] = r.NormFloat64()
-	}
-	if d := KolmogorovSmirnov(x, y); d > 0.05 {
-		t.Fatalf("KS of same-distribution samples = %v, want small", d)
-	}
-	// Shifted distribution: KS large.
-	for i := range y {
-		y[i] += 2
-	}
-	if d := KolmogorovSmirnov(x, y); d < 0.5 {
-		t.Fatalf("KS of shifted samples = %v, want large", d)
-	}
-}

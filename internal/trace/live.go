@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
@@ -48,6 +49,7 @@ type LiveSource struct {
 
 	peakBuffered int
 	released     int64
+	stepTime     time.Duration // wall clock inside step
 	lagHist      *obs.Histogram
 }
 
@@ -58,13 +60,16 @@ func NewLiveSource(step func() (done bool, err error)) *LiveSource {
 }
 
 // Instrument registers the seam's series: trace.live.buffered
-// (current/peak reorder-heap occupancy), trace.live.released_total, and
+// (current/peak reorder-heap occupancy), trace.live.released_total,
+// trace.live.step_seconds (wall clock spent inside step, so the
+// producer's time can be told apart from the consumer's), and
 // trace.live.watermark_lag_seconds (seconds between a record's Start
 // and the watermark that released it). Safe with a nil registry.
 func (l *LiveSource) Instrument(r *obs.Registry) {
 	r.SampledGauge("trace.live.buffered", func() float64 { return float64(len(l.buf)) })
 	r.SampledGauge("trace.live.buffered_peak", func() float64 { return float64(l.peakBuffered) })
 	r.SampledCounter("trace.live.released_total", func() float64 { return float64(l.released) })
+	r.SampledCounter("trace.live.step_seconds", func() float64 { return l.stepTime.Seconds() })
 	l.lagHist = r.Histogram("trace.live.watermark_lag_seconds", obs.Pow2Bounds(1.0/1024, 24))
 }
 
@@ -98,7 +103,9 @@ func (l *LiveSource) Next() (FlowRecord, error) {
 			}
 			return l.pop(), nil
 		}
+		sw := obs.NewStopwatch()
 		l.done, l.err = l.step()
+		l.stepTime += sw.Elapsed()
 	}
 	l.buf = nil
 	return FlowRecord{}, l.err
