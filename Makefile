@@ -90,13 +90,17 @@ smoke-stream:
 
 # Fused-pipeline smoke test: dcanalyze's one simulating path simulates
 # and analyzes interleaved through the watermarked live source under a
-# GOMEMLIMIT soft target, then dcmetrics asserts the run snapshot
-# carries the seam's trace.live.* series (which only the fused pipeline
-# registers), among them the simulator's step time, alongside the usual
-# subsystems.
+# GOMEMLIMIT soft target, with -max-heap-mb as a hard bound on the
+# sampled peak heap, then dcmetrics asserts the run snapshot carries the
+# seam's trace.live.* series (which only the fused pipeline registers),
+# among them the simulator's step time, alongside the usual subsystems.
+# The run keeps no records, read attempts or scanned link bins, and its
+# sampled peak read 12–17 MiB over nine runs on a 2-CPU x86-64 host
+# (EXPERIMENTS.md "A fused run keeps no bins, reads or lifecycle log");
+# 32 MiB leaves about twice that for GC timing.
 smoke-fused:
 	GOMEMLIMIT=128MiB $(GO) run ./cmd/dcanalyze -racks 8 -servers 10 \
-		-duration 30m -metrics smoke-fused.json > /dev/null
+		-duration 30m -max-heap-mb 32 -metrics smoke-fused.json > /dev/null
 	$(GO) run ./cmd/dcmetrics -require netsim.,trace.,trace.live.,trace.live.step_seconds smoke-fused.json
 
 # Fleet-executor smoke test: a 3-seed 30 m sweep run concurrently under
@@ -119,14 +123,14 @@ figures:
 	$(GO) run ./cmd/dcanalyze -racks 8 -servers 10 -duration 2h -tsv figures
 
 # The EXPERIMENTS.md reference run: laptop-scale cluster, 24 simulated
-# hours. On a 2-CPU x86-64 host shared with other work: 52–81 s of wall
-# clock over six runs and 0.9 GiB of peak RSS, plus the build
-# (EXPERIMENTS.md "One simulate-and-analyze path").
+# hours. On a 2-CPU x86-64 host shared with other work: 41–43 s of wall
+# clock over three runs and 0.65–0.70 GiB of peak RSS, plus the build
+# (EXPERIMENTS.md "A fused run keeps no bins, reads or lifecycle log").
 day:
 	$(GO) run ./cmd/dcanalyze -racks 8 -servers 10 -duration 24h -tsv figures-day
 
-# Paper-scale (1500 servers, 24 h): 28–40 s of wall clock over six runs
-# and 0.95–1.03 GiB of peak RSS on the same host, plus the build.
+# Paper-scale (1500 servers, 24 h): 25–28 s of wall clock over three
+# runs and 256–266 MiB of peak RSS on the same host, plus the build.
 paper-day:
 	$(GO) run ./cmd/dcanalyze -paper -tsv figures-paper
 

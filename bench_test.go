@@ -179,6 +179,11 @@ func BenchmarkFig7CongestedFlowRates(b *testing.B) {
 	sameMetric(b, j.All.Quantile(0.5), rep.Fig7.MedianAllMbps, "median-all-mbps")
 }
 
+// BenchmarkFig8ReadFailureImpact times Figure 8's online tally over the
+// run's read attempts, as the sweep feeds it a finished run's log once
+// every record has joined. (A fused run's reads arrive ahead of their
+// flows' joins and wait; TestReadTallyMatchesOracle in internal/core
+// pins that schedule to the end-of-run oracle.)
 func BenchmarkFig8ReadFailureImpact(b *testing.B) {
 	rr, rep := benchSetup(b)
 	recs := canonicalRecords(b, rr)
@@ -188,10 +193,15 @@ func BenchmarkFig8ReadFailureImpact(b *testing.B) {
 	}
 	period := rep.Fig8.Period
 	periods := max(int(rr.Config.Duration/period), 1)
+	reads := rr.Log.Reads()
 	b.ResetTimer()
 	var days []congestion.DayImpact
 	for i := 0; i < b.N; i++ {
-		days = j.ReadFailureImpact(rr.Log, period, periods)
+		tally := congestion.NewReadTally(j, period, periods)
+		for _, ra := range reads {
+			tally.Add(ra)
+		}
+		days = tally.Impact()
 	}
 	var increases []float64
 	for _, d := range days {

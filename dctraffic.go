@@ -117,9 +117,9 @@ func SmallRun() RunConfig { return core.SmallRun() }
 
 // PaperRun returns the paper-scale configuration (1500 servers, 24 h).
 // On a 2-CPU x86-64 host, `dcanalyze -paper` simulated and analyzed it
-// in 28–40 s over six runs, with 0.46–0.57 GB of peak live heap and
-// 0.95–1.03 GiB of peak RSS (EXPERIMENTS.md "One simulate-and-analyze
-// path").
+// in 25–28 s over three runs, with 134–137 MB of peak live heap and
+// 256–266 MiB of peak RSS (EXPERIMENTS.md "A fused run keeps no bins,
+// reads or lifecycle log").
 func PaperRun() RunConfig { return core.PaperRun() }
 
 // Run builds the cluster and runs the workload under socket-level

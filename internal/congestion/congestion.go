@@ -55,14 +55,22 @@ const openEnd = netsim.Time(math.MaxInt64)
 // attribution answers from the index now as from the final one: every
 // episode starting before its End is already indexed, closed episodes
 // are final, and an open run reaches past the End either way.
+//
+// Bin indices are absolute: the series a tracker reads may have dropped
+// the bins below some index (netsim.LinkStats.DropBelow), as long as it
+// drops only bins the tracker has scanned.
 type EpisodeTracker struct {
 	bin       netsim.Time
 	threshold float64
-	bytes     func(topology.LinkID) []float64
+	bins      binSeries
 	links     []linkScan
 	idx       *EpisodeIndex
 	final     int // every link is scanned below this bin
 }
+
+// binSeries returns a link's kept bins and the absolute index of the
+// first of them.
+type binSeries func(topology.LinkID) (first int, bytes []float64)
 
 // linkScan is one tracked link's scan state.
 type linkScan struct {
@@ -86,17 +94,17 @@ func NewEpisodeTracker(st *netsim.LinkStats, top *topology.Topology, threshold f
 			scans = append(scans, linkScan{id: id, capBin: top.Link(id).CapacityBps / 8 * bin.Seconds()})
 		}
 	}
-	return newEpisodeTracker(bin, threshold, scans, st.Bytes)
+	return newEpisodeTracker(bin, threshold, scans, func(id topology.LinkID) (int, []float64) { return st.First(), st.Bytes(id) })
 }
 
-func newEpisodeTracker(bin netsim.Time, threshold float64, links []linkScan, bytes func(topology.LinkID) []float64) *EpisodeTracker {
+func newEpisodeTracker(bin netsim.Time, threshold float64, links []linkScan, bins binSeries) *EpisodeTracker {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
 	return &EpisodeTracker{
 		bin:       bin,
 		threshold: threshold,
-		bytes:     bytes,
+		bins:      bins,
 		links:     links,
 		idx:       &EpisodeIndex{byLink: make(map[topology.LinkID][]Episode)},
 	}
@@ -121,7 +129,8 @@ func (t *EpisodeTracker) Advance(final int) {
 func (t *EpisodeTracker) Close() {
 	for i := range t.links {
 		l := &t.links[i]
-		t.scan(l, len(t.bytes(l.id))+1)
+		first, bytes := t.bins(l.id)
+		t.scan(l, first+len(bytes)+1)
 	}
 	t.final = math.MaxInt
 }
@@ -147,10 +156,10 @@ func (t *EpisodeTracker) Episodes() []Episode {
 // upto. Bins past the link's recorded ones are cold: they can only ever
 // be recorded as zeros.
 func (t *EpisodeTracker) scan(l *linkScan, upto int) {
-	bytes := t.bytes(l.id)
+	first, bytes := t.bins(l.id)
 	for ; l.pos < upto; l.pos++ {
 		i := l.pos
-		hot := i < len(bytes) && l.capBin > 0 && bytes[i]/l.capBin >= t.threshold
+		hot := i-first < len(bytes) && l.capBin > 0 && bytes[i-first]/l.capBin >= t.threshold
 		if hot && !l.open {
 			t.idx.byLink[l.id] = append(t.idx.byLink[l.id], Episode{Link: l.id, Start: netsim.Time(i) * t.bin, End: openEnd})
 			l.open = true

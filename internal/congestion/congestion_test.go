@@ -176,19 +176,31 @@ func TestReadFailureImpact(t *testing.T) {
 		{ID: 1, Src: 0, Dst: 15, Start: time.Minute, End: 2 * time.Minute, Bytes: 1},
 		{ID: 2, Src: 5, Dst: 25, Start: time.Minute, End: 2 * time.Minute, Bytes: 1},
 	}
-	log := &eventlog.Log{}
-	// Congested attempts: 2 of 4 fail. Clear attempts: 1 of 4 fails.
-	for i := 0; i < 4; i++ {
-		log.AppendRead(eventlog.ReadAttempt{Flow: 1, Start: time.Minute, End: 2 * time.Minute, Failed: i < 2})
-		log.AppendRead(eventlog.ReadAttempt{Flow: 2, Start: time.Minute, End: 2 * time.Minute, Failed: i < 1})
-	}
-	// Day 2: only clear attempts.
-	log.AppendRead(eventlog.ReadAttempt{Flow: -1, Start: day + time.Hour, End: day + 2*time.Hour, Failed: false})
 	j := NewRecordJoin(NewEpisodeIndex(eps), top, 0)
+	tally := NewReadTally(j, day, 2)
+	// Congested attempts: 2 of 4 fail. Clear attempts: 1 of 4 fails.
+	// Half of each class arrives before its flow joins and waits.
+	add := func(from, to int) {
+		for i := from; i < to; i++ {
+			tally.Add(eventlog.ReadAttempt{Flow: 1, Start: time.Minute, End: 2 * time.Minute, Failed: i < 2})
+			tally.Add(eventlog.ReadAttempt{Flow: 2, Start: time.Minute, End: 2 * time.Minute, Failed: i < 1})
+		}
+	}
+	add(0, 2)
+	// Day 2: only clear attempts, counted as they arrive. A read of a
+	// flow that never joins waits until Impact and counts as clear.
+	tally.Add(eventlog.ReadAttempt{Flow: -1, Start: day + time.Hour, End: day + 2*time.Hour, Failed: false})
+	tally.Add(eventlog.ReadAttempt{Flow: 9, Start: day + time.Hour, End: day + 2*time.Hour, Failed: true})
+	if got := tally.Waiting(); got != 5 {
+		t.Fatalf("%d reads waiting before any flow joined, want 5", got)
+	}
 	for i := range records {
 		j.Join(&records[i])
 	}
-	impacts := j.ReadFailureImpact(log, day, 2)
+	add(2, 4)
+	// Outside the two periods: not counted.
+	tally.Add(eventlog.ReadAttempt{Flow: -1, Start: 2 * day, End: 2*day + time.Hour})
+	impacts := tally.Impact()
 	if len(impacts) != 2 {
 		t.Fatalf("impacts = %v", impacts)
 	}
@@ -202,8 +214,8 @@ func TestReadFailureImpact(t *testing.T) {
 	if math.Abs(d0.IncreasePct-100) > 1e-9 {
 		t.Fatalf("day 0 increase = %v, want 100%%", d0.IncreasePct)
 	}
-	if impacts[1].CongestedReads != 0 || impacts[1].IncreasePct != 0 {
-		t.Fatalf("day 1 should be clear-only: %+v", impacts[1])
+	if d1 := impacts[1]; d1.CongestedReads != 0 || d1.ClearReads != 2 || d1.PFailClear != 0.5 || d1.IncreasePct != 0 {
+		t.Fatalf("day 1 should hold two clear reads, one failed: %+v", d1)
 	}
 }
 

@@ -1,6 +1,8 @@
 package congestion
 
 import (
+	"slices"
+
 	"dctraffic/internal/eventlog"
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/stats"
@@ -28,8 +30,25 @@ type RecordJoin struct {
 
 	part    map[netsim.FlowKind]float64 // the unsealed attribution part
 	parts   []Attribution
-	hotFlow []uint64 // one bit per flow id: the flow overlapped congestion
+	joined  flowSet // the flows whose record has joined
+	hotFlow flowSet // the joined flows that overlapped congestion
 	path    []topology.LinkID
+}
+
+// flowSet holds one bit per flow id.
+type flowSet []uint64
+
+func (s *flowSet) add(id netsim.FlowID) {
+	w := int(id >> 6)
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	(*s)[w] |= 1 << (id & 63)
+}
+
+func (s flowSet) has(id netsim.FlowID) bool {
+	w := int(id >> 6)
+	return id >= 0 && w < len(s) && s[w]&(1<<(id&63)) != 0
 }
 
 // NewRecordJoin joins against idx, which may keep growing (an
@@ -83,12 +102,11 @@ func (j *RecordJoin) Join(r *trace.FlowRecord) {
 			j.Overlap.Add(rate / 1e6)
 		}
 	}
-	if overlap && r.ID >= 0 {
-		w := int(r.ID >> 6)
-		if w >= len(j.hotFlow) {
-			j.hotFlow = append(j.hotFlow, make([]uint64, w+1-len(j.hotFlow))...)
+	if r.ID >= 0 {
+		j.joined.add(r.ID)
+		if overlap {
+			j.hotFlow.add(r.ID)
 		}
-		j.hotFlow[w] |= 1 << (r.ID & 63)
 	}
 }
 
@@ -109,41 +127,102 @@ func (j *RecordJoin) Attribution() Attribution {
 
 // congested reports whether a joined record of flow id overlapped
 // congestion.
-func (j *RecordJoin) congested(id netsim.FlowID) bool {
-	w := int(id >> 6)
-	return id >= 0 && w < len(j.hotFlow) && j.hotFlow[w]&(1<<(id&63)) != 0
+func (j *RecordJoin) congested(id netsim.FlowID) bool { return j.hotFlow.has(id) }
+
+// ReadTally renders Figure 8 online: it tallies the application log's
+// read attempts, per period, by whether their flow joined a RecordJoin
+// as congested. A read counts once its flow has joined, when the flow's
+// congested bit is final; until then it waits. A local read (no flow)
+// counts in the clear class as soon as it arrives: it cannot have
+// crossed a hot link.
+type ReadTally struct {
+	join    *RecordJoin
+	dayLen  netsim.Time
+	days    []readBucket
+	waiting []waitingRead
 }
 
-// ReadFailureImpact renders Figure 8: it tallies the application log's
-// read attempts, per period of dayLen, by whether their flow joined as
-// congested. Local reads (no flow) count in the clear class: they cannot
-// have crossed a hot link.
-func (j *RecordJoin) ReadFailureImpact(log *eventlog.Log, dayLen netsim.Time, numDays int) []DayImpact {
-	type bucket struct {
-		congested, congestedFail int
-		clear, clearFail         int
+type readBucket struct {
+	congested, congestedFail int
+	clear, clearFail         int
+}
+
+// waitingRead is a read attempt whose flow had not joined when it
+// arrived, reduced to what its tally needs.
+type waitingRead struct {
+	flow   netsim.FlowID
+	day    int32
+	failed bool
+}
+
+// NewReadTally tallies against j's congested bits over numDays periods
+// of dayLen; reads starting outside them are not counted.
+func NewReadTally(j *RecordJoin, dayLen netsim.Time, numDays int) *ReadTally {
+	return &ReadTally{join: j, dayLen: dayLen, days: make([]readBucket, numDays)}
+}
+
+// Add takes one read attempt, in any order relative to its flow's join.
+// Waiting reads are checked against the joins when their buffer fills,
+// which then keeps at least half of it free, so each check pays for the
+// reads appended since the last.
+func (t *ReadTally) Add(ra eventlog.ReadAttempt) {
+	day := int(ra.Start / t.dayLen)
+	if day < 0 || day >= len(t.days) {
+		return
 	}
-	buckets := make([]bucket, numDays)
-	for _, ra := range log.Reads() {
-		day := int(ra.Start / dayLen)
-		if day < 0 || day >= numDays {
-			continue
-		}
-		b := &buckets[day]
-		if j.congested(ra.Flow) {
-			b.congested++
-			if ra.Failed {
-				b.congestedFail++
-			}
+	if ra.Flow < 0 || t.join.joined.has(ra.Flow) {
+		t.count(day, ra.Failed, t.join.congested(ra.Flow))
+		return
+	}
+	if len(t.waiting) == cap(t.waiting) {
+		t.countJoined()
+		t.waiting = slices.Grow(t.waiting, len(t.waiting))
+	}
+	t.waiting = append(t.waiting, waitingRead{flow: ra.Flow, day: int32(day), failed: ra.Failed})
+}
+
+// Waiting reports how many read attempts the tally holds: those whose
+// flow had not joined when last checked.
+func (t *ReadTally) Waiting() int { return len(t.waiting) }
+
+// countJoined counts the waiting reads whose flow has joined since.
+func (t *ReadTally) countJoined() {
+	kept := t.waiting[:0]
+	for _, w := range t.waiting {
+		if t.join.joined.has(w.flow) {
+			t.count(int(w.day), w.failed, t.join.congested(w.flow))
 		} else {
-			b.clear++
-			if ra.Failed {
-				b.clearFail++
-			}
+			kept = append(kept, w)
 		}
 	}
-	out := make([]DayImpact, numDays)
-	for d, b := range buckets {
+	t.waiting = kept
+}
+
+func (t *ReadTally) count(day int, failed, congested bool) {
+	b := &t.days[day]
+	if congested {
+		b.congested++
+		if failed {
+			b.congestedFail++
+		}
+	} else {
+		b.clear++
+		if failed {
+			b.clearFail++
+		}
+	}
+}
+
+// Impact renders Figure 8. Call it once every record has joined: the
+// reads still waiting count now, by their flow's congested bit, so a
+// read whose flow never joined counts as clear.
+func (t *ReadTally) Impact() []DayImpact {
+	for _, w := range t.waiting {
+		t.count(int(w.day), w.failed, t.join.congested(w.flow))
+	}
+	t.waiting = t.waiting[:0]
+	out := make([]DayImpact, len(t.days))
+	for d, b := range t.days {
 		di := DayImpact{Day: d, CongestedReads: b.congested, ClearReads: b.clear}
 		if b.congested > 0 {
 			di.PFailCongested = float64(b.congestedFail) / float64(b.congested)

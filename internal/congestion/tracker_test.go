@@ -41,14 +41,17 @@ func detectSeries(bin netsim.Time, threshold float64, links []linkScan, series f
 }
 
 // TestEpisodeTrackerFollowsNetwork advances a tracker at the network's
-// last accrual between event batches, as a fused run does, and checks
-// that the episodes equal the oracle scan of the finished counters and
-// that the open run is indexed before it closes.
+// last accrual between event batches and drops the bins it has scanned,
+// as a fused run does. It checks that the episodes equal the oracle scan
+// of an identical network's finished counters, that the open run is
+// indexed before it closes, and that the kept bins stay few.
 func TestEpisodeTrackerFollowsNetwork(t *testing.T) {
 	net, top := saturate(t)
+	twin, _ := saturate(t)
 	src, dst := top.RackServers(0), top.RackServers(2)
 	for i := 0; i < 5; i++ {
 		net.StartFlow(src[i], dst[i], 312_500_000, netsim.FlowTag{}, nil)
+		twin.StartFlow(src[i], dst[i], 312_500_000, netsim.FlowTag{}, nil)
 	}
 	st := net.Stats()
 	tr := NewEpisodeTracker(st, top, 0, nil)
@@ -56,17 +59,27 @@ func TestEpisodeTrackerFollowsNetwork(t *testing.T) {
 	for at := 500 * time.Millisecond; at <= 20*time.Second; at += 500 * time.Millisecond {
 		net.Run(at)
 		tr.Advance(int(net.LastAccrual() / st.BinSize()))
+		st.DropBelow(tr.Final())
 		for _, e := range tr.Index().Link(top.TorUplink(0)) {
 			sawOpen = sawOpen || e.End == openEnd
 		}
+		for _, id := range top.InterSwitchLinks() {
+			if n := len(st.Bytes(id)); n > 2 {
+				t.Fatalf("at %v link %d keeps %d bins above the frontier %d", at, id, n, tr.Final())
+			}
+		}
 	}
 	net.RunAll()
+	twin.RunAll()
 	tr.Close()
+	if st.First() == 0 {
+		t.Fatal("no bin was dropped")
+	}
 	var scans []linkScan
 	for _, id := range top.InterSwitchLinks() {
 		scans = append(scans, linkScan{id: id, capBin: top.Link(id).CapacityBps / 8 * st.BinSize().Seconds()})
 	}
-	want := detectSeries(st.BinSize(), 0, scans, st.Bytes)
+	want := detectSeries(st.BinSize(), 0, scans, twin.Stats().Bytes)
 	if got := tr.Episodes(); !slices.Equal(got, want) || len(want) == 0 {
 		t.Fatalf("tracked episodes %v, oracle %v", got, want)
 	}
@@ -91,11 +104,12 @@ func (f *fuzzReader) next() int {
 // series — zero capacity, values exactly at the threshold, and
 // frontiers past a link's recorded bins included — on a random frontier
 // schedule. Bins at or past the frontier read provisional values until
-// it passes them. It checks that the closed tracker's episodes equal
-// the oracle scan, and that every record joined at its own frontier
-// (as soon as the bin holding its End is final) gets the overlap bit,
-// Figure 7 samples and attribution terms of a join against the final
-// index, bit for bit.
+// it passes them, and after each advance a random prefix of the scanned
+// bins may be dropped, as netsim.LinkStats.DropBelow does. It checks
+// that the closed tracker's episodes equal the oracle scan, and that
+// every record joined at its own frontier (as soon as the bin holding
+// its End is final) gets the overlap bit, Figure 7 samples and
+// attribution terms of a join against the final index, bit for bit.
 func FuzzEpisodeTracker(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 2, 8, 2, 2, 2, 0, 2, 2, 0, 3, 5, 0, 1, 0, 1, 0, 1, 4, 4, 3, 1, 2, 3, 6, 0, 1, 2, 1, 9, 7, 1, 3, 2, 0, 2, 1})
@@ -157,9 +171,14 @@ func FuzzEpisodeTracker(f *testing.F) {
 
 		// The tracker reads each link's visible series: final below the
 		// frontier, provisional (half the final value, or garbage past
-		// it) at and beyond, and possibly shorter than the frontier.
+		// it) at and beyond, and possibly shorter than the frontier. The
+		// bins below first, which never passes the frontier, are dropped.
 		visible := make(map[topology.LinkID][]float64)
-		tr := newEpisodeTracker(bin, threshold, slices.Clone(scans), func(id topology.LinkID) []float64 { return visible[id] })
+		first := 0
+		tr := newEpisodeTracker(bin, threshold, slices.Clone(scans), func(id topology.LinkID) (int, []float64) {
+			s := visible[id]
+			return first, s[min(first, len(s)):]
+		})
 		online := make([]*RecordJoin, len(recs))
 		joinReady := func() {
 			for i := range recs {
@@ -182,6 +201,9 @@ func FuzzEpisodeTracker(f *testing.F) {
 				visible[id] = v
 			}
 			tr.Advance(frontier)
+			if d := in.next() % 4; d < 3 {
+				first = max(first, frontier-d)
+			}
 			joinReady()
 		}
 		visible = final

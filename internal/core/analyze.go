@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"dctraffic/internal/congestion"
+	"dctraffic/internal/eventlog"
 	"dctraffic/internal/flows"
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
@@ -212,13 +213,19 @@ type streamAnalysis struct {
 	binSize netsim.Time
 
 	// The congestion join, run mode only: episodes tracked as the link
-	// bins become final, and a queue of delivered records, each joined
-	// in delivery order once the bin holding its End is final.
-	tracker  *congestion.EpisodeTracker
-	join     *congestion.RecordJoin
-	joinQ    []trace.FlowRecord
-	joinHead int
-	joined   int
+	// bins become final, a queue of delivered records, each joined in
+	// delivery order once the bin holding its End is final, and Figure
+	// 8's tally of read attempts against the joined flows. bins is the
+	// run's link stats when the sweep drops the bins its tracker has
+	// scanned, nil when it keeps them.
+	tracker   *congestion.EpisodeTracker
+	join      *congestion.RecordJoin
+	reads     *congestion.ReadTally
+	bins      *netsim.LinkStats
+	joinQ     []trace.FlowRecord
+	joinHead  int
+	joined    int
+	joinQPeak *obs.Gauge
 
 	// per-record streaming consumers
 	incast          *congestion.IncastTracker
@@ -273,6 +280,8 @@ type streamAnalysis struct {
 //     CDFs, the attribution and Figure 8's per-flow congested bits, once
 //     the link bin holding its End ends at or before the network's last
 //     accrual;
+//   - Figure 8 counts each read attempt once its flow has joined; the
+//     read attempts a run's log keeps count after the last join;
 //   - each tomography window parks its ToR matrix at its boundary, and
 //     the parked windows are solved in window order once the job event
 //     log is final (solveParked).
@@ -280,6 +289,12 @@ type streamAnalysis struct {
 // A finished run's last step flushed the network and ended its clock at
 // the horizon, so both inputs are final from the start: records join as
 // they arrive and each window is solved at its own boundary.
+//
+// A run whose collector hands its records to this sweep (RunAnalyze's:
+// the collector has a sink) has no other reader of its link bins and
+// read attempts, so it keeps neither: the sweep drops the bins its
+// episode tracker has scanned and takes each read attempt from the
+// job event log as the log receives it (eventlog.Log.SetReadSink).
 //
 // The three obs phases are "analyze.index" (validation, episode
 // tracker, window registry), "analyze.figures" (the sweep and the
@@ -362,6 +377,16 @@ func (a *streamAnalysis) setup() {
 		a.binSize = st.BinSize()
 		a.tracker = congestion.NewEpisodeTracker(st, a.top, cfg.CongestionThreshold, a.links)
 		a.join = congestion.NewRecordJoin(a.tracker.Index(), a.top, 0)
+		a.reads = congestion.NewReadTally(a.join, cfg.Fig8Period, max(int(duration/cfg.Fig8Period), 1))
+		a.joinQPeak = a.reg.Gauge("analyze.join.queued_records_peak")
+		waiting := a.reg.Gauge("analyze.join.waiting_reads_peak")
+		if rr.Collector.HasSink() {
+			a.bins = st
+			rr.Log.SetReadSink(func(ra eventlog.ReadAttempt) {
+				a.reads.Add(ra)
+				waiting.SetMax(float64(a.reads.Waiting()))
+			})
+		}
 		a.tomoProblem = tomo.NewProblem(a.top)
 		a.tomoEst = a.tomoProblem.NewEstimator(tomo.EstimatorOptions{})
 		a.xTrue = make([]float64, a.tomoProblem.NumPairs())
@@ -462,12 +487,20 @@ func (a *streamAnalysis) sweep(ctx context.Context) error {
 		// The source is drained, so the run has finished: every link
 		// bin is final.
 		a.tracker.Close()
-		a.joinFinal()
+		a.joinReady()
 		if a.joined%recordShardTarget != 0 {
 			a.join.SealPart()
 			a.taskCnt.Inc()
 		}
 		a.eps = a.tracker.Episodes()
+		// Every record has joined: count the read attempts the run's log
+		// kept (none, if they came to the tally as the run went), and
+		// detach the tally, so the run's result does not hold the sweep.
+		log := a.cfg.run.Log
+		for _, ra := range log.Reads() {
+			a.reads.Add(ra)
+		}
+		log.SetReadSink(nil)
 	}
 	return a.solveParked(ctx)
 }
@@ -515,6 +548,7 @@ func (a *streamAnalysis) deliver(r trace.FlowRecord) error {
 	a.incast.Observe(&r)
 	if a.join != nil {
 		a.joinQ = append(a.joinQ, r)
+		a.joinQPeak.SetMax(float64(len(a.joinQ) - a.joinHead))
 		a.joinFinal()
 	}
 	if a.reasm != nil {
@@ -550,14 +584,22 @@ func (a *streamAnalysis) consumeFlow(r trace.FlowRecord) {
 	a.ia.Observe(&r)
 }
 
-// joinFinal joins the queued records, in delivery order, up to the
-// first whose End lies in a link bin that may still change. It first
-// advances the tracker to the bins the network has finished accruing:
-// bytes accrue lazily, at the next network event, so the simulated clock
-// can run ahead of them. Every recordShardTarget joined records seal an
-// attribution part.
+// joinFinal advances the tracker to the bins the network has finished
+// accruing, drops them if the sweep is their only reader, and joins the
+// records that makes ready. Bytes accrue lazily, at the next network
+// event, so the simulated clock can run ahead of them.
 func (a *streamAnalysis) joinFinal() {
 	a.tracker.Advance(int(a.cfg.run.Net.LastAccrual() / a.binSize))
+	if a.bins != nil {
+		a.bins.DropBelow(a.tracker.Final())
+	}
+	a.joinReady()
+}
+
+// joinReady joins the queued records, in delivery order, up to the first
+// whose End lies in a link bin the tracker has not scanned. Every
+// recordShardTarget joined records seal an attribution part.
+func (a *streamAnalysis) joinReady() {
 	final := a.tracker.Final()
 	for ; a.joinHead < len(a.joinQ); a.joinHead++ {
 		r := &a.joinQ[a.joinHead]
@@ -894,11 +936,7 @@ func (a *streamAnalysis) congestionFigures(rep *Report) {
 			MedianAllMbps:     a.join.All.Quantile(0.5),
 		}
 
-		numPeriods := int(a.duration / cfg.Fig8Period)
-		if numPeriods < 1 {
-			numPeriods = 1
-		}
-		days := a.join.ReadFailureImpact(rr.Log, cfg.Fig8Period, numPeriods)
+		days := a.reads.Impact()
 		var increases []float64
 		for _, d := range days {
 			if d.CongestedReads > 0 && d.ClearReads > 0 {

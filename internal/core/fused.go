@@ -33,7 +33,11 @@ func WithRunOptions(opts ...RunOption) AnalyzeOption {
 //
 // The collector hands each record to the source instead of logging it,
 // so the returned RunResult has no record log (Records is nil,
-// Collector.NumRecords counts them) and AnalyzeRun rejects it.
+// Collector.NumRecords counts them) and AnalyzeRun rejects it. Nor
+// does it keep what the sweep consumed as the run went: its event log
+// holds no read attempts (Log.Reads is nil; each went to Figure 8's
+// tally), and its link stats hold no bins below the episode tracker's
+// frontier (Net.Stats().First(), a few bins short of the end).
 //
 // Options: analysis options apply as in AnalyzeSource; WithRunOptions
 // forwards simulator options. A simulator error (cancellation at a

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"dctraffic/internal/eventlog"
 	"dctraffic/internal/obs"
 	"dctraffic/internal/trace"
 )
@@ -146,14 +148,19 @@ func TestTomographySchedule(t *testing.T) {
 	}
 }
 
-// TestRunAnalyzeKeepsNoLog checks that a fused run's collector hands
-// its records to the analysis without logging them, that a plain Run
-// still keeps its log, and that AnalyzeRun rejects a run without one
-// instead of analyzing zero records.
+// TestRunAnalyzeKeepsNoLog checks that a fused run keeps none of what
+// its analysis consumes as it goes: its collector hands the records to
+// the analysis without logging them, its event log hands over the read
+// attempts and counts lifecycle records without keeping them, and its
+// link stats keep only the bins the episode tracker had not scanned, at
+// most a few per link; once the sweep ends, the log no longer refers to
+// it. A plain Run still keeps its records, every read attempt the fused
+// run tallied and every bin, and AnalyzeRun rejects a run without its
+// record log instead of analyzing zero records.
 func TestRunAnalyzeKeepsNoLog(t *testing.T) {
 	cfg := fusedTestConfig(1)
 	cfg.Duration = 10 * time.Minute
-	rr, _, err := RunAnalyze(context.Background(), cfg)
+	rr, rep, err := RunAnalyze(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +176,89 @@ func TestRunAnalyzeKeepsNoLog(t *testing.T) {
 	}
 	if got, want := len(plain.Records()), plain.Collector.NumRecords(); got != want || got != rr.Collector.NumRecords() {
 		t.Fatalf("plain run logged %d of %d records, fused run collected %d", got, want, rr.Collector.NumRecords())
+	}
+
+	if n := len(rr.Log.Reads()); n != 0 || len(plain.Log.Reads()) == 0 {
+		t.Fatalf("fused run kept %d read attempts, plain run %d: want none and some", n, len(plain.Log.Reads()))
+	}
+	tallied, kept := 0, 0
+	for _, d := range rep.Fig8.Days {
+		tallied += d.CongestedReads + d.ClearReads
+	}
+	for _, ra := range plain.Log.Reads() {
+		if int(ra.Start/rep.Fig8.Period) < len(rep.Fig8.Days) {
+			kept++
+		}
+	}
+	if kept != tallied {
+		t.Fatalf("plain run kept %d read attempts in Figure 8's periods, fused run tallied %d", kept, tallied)
+	}
+	for e := eventlog.JobSubmitted; e <= eventlog.EvacuationCompleted; e++ {
+		if got, want := rr.Log.CountType(e), plain.Log.CountType(e); got != want {
+			t.Fatalf("fused run counted %d %v records, plain run %d", got, e, want)
+		}
+	}
+	if rr.Log.CountType(eventlog.JobSubmitted) == 0 {
+		t.Fatal("fused run counted no submitted jobs")
+	}
+	// The sweep detaches its tally when it ends, so the result does not
+	// hold the analysis: a read appended now is kept.
+	rr.Log.AppendRead(eventlog.ReadAttempt{Flow: -1})
+	if n := len(rr.Log.Reads()); n != 1 {
+		t.Fatalf("after the sweep the fused run's log kept %d of 1 appended read", n)
+	}
+
+	st, all := rr.Net.Stats(), plain.Net.Stats()
+	first := st.First()
+	if first == 0 || all.First() != 0 || all.Bins() < first {
+		t.Fatalf("fused run keeps bins from %d, plain run from %d of %d: want from past 0, and every bin", first, all.First(), all.Bins())
+	}
+	for _, l := range st.TrackedLinks() {
+		got, every := st.Bytes(l), all.Bytes(l)
+		if want := every[min(first, len(every)):]; len(got) > 2 || !slices.Equal(got, want) {
+			t.Fatalf("fused run keeps link %d's bins %v from bin %d, want at most a few, the plain run's %v", l, got, first, want)
+		}
+	}
+}
+
+// TestRunAnalyzeJoinsEarly pins that a fused run joins its records and
+// tallies its read attempts while it runs: the join queue and the read
+// attempts waiting for their flow's join must stay far below the run's
+// record and read counts, which they reach if nothing joins before the
+// run ends. Job sizes are narrowed as in the benchmark's laptop
+// workloads, so that no giant flow holds the live seam's watermark, and
+// with it every record and read, for most of the run. Reads then count
+// as their flows join, and the report must still equal AnalyzeRun's.
+func TestRunAnalyzeJoinsEarly(t *testing.T) {
+	cfg := fusedTestConfig(1)
+	cfg.Duration = time.Hour
+	sc := &cfg.Sched
+	sc.BatchInputP90 = sc.BatchInputMedian * 3 / 2
+	sc.InteractiveInputP90 = sc.InteractiveInputMedian * 3 / 2
+	sc.DatasetP90 = sc.DatasetMedian * 3 / 2
+	reg := obs.NewRegistry()
+	rr, rep, err := RunAnalyze(context.Background(), cfg, WithAnalysisObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	for _, d := range rep.Fig8.Days {
+		reads += d.CongestedReads + d.ClearReads
+	}
+	snap := reg.Snapshot()
+	queued, waiting := snap.Value("analyze.join.queued_records_peak"), snap.Value("analyze.join.waiting_reads_peak")
+	if records := rr.Collector.NumRecords(); queued <= 0 || queued > float64(records)/20 {
+		t.Fatalf("join queue peaked at %v records of %d, want some but under a twentieth", queued, records)
+	}
+	if waiting <= 0 || waiting > float64(reads)/5 {
+		t.Fatalf("%v read attempts waited for their flow's join at the peak, of %d: want some but under a fifth", waiting, reads)
+	}
+	plain, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reportDigest(t, rep), reportDigest(t, mustAnalyze(t, plain)); got != want {
+		t.Fatalf("RunAnalyze digest %s != AnalyzeRun %s", got, want)
 	}
 }
 

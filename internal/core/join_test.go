@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"dctraffic/internal/congestion"
 	"dctraffic/internal/eventlog"
@@ -231,4 +232,47 @@ func TestRecordJoinMatchesChunkOracle(t *testing.T) {
 		t.Fatal("record join's Figure 7 CDFs differ from the chunk oracle's")
 	}
 	sameAttribution(t, "1000-record parts", j.Attribution(), attr)
+}
+
+// TestReadTallyMatchesOracle feeds a finished run's read attempts to
+// Figure 8's online tally as a fused run does: each arrives when its
+// flow ends, in append order, ahead of its flow's join, and the records
+// join in delivery order, (Start, ID), well behind. Reads wait, their
+// flows join out of their append order, and the tally must equal the
+// end-of-run record-map oracle.
+func TestReadTallyMatchesOracle(t *testing.T) {
+	rr, rep := smallRun(t)
+	recs := canonicalRunRecords(t, rr)
+	eps := rep.Fig5.Episodes
+	period := rep.Fig8.Period
+	periods := max(int(rr.Config.Duration/period), 1)
+	want := readFailureImpact(rr.Log, rr.Records(), eps, rr.Top, period, periods)
+
+	j := congestion.NewRecordJoin(congestion.NewEpisodeIndex(eps), rr.Top, 0)
+	tally := congestion.NewReadTally(j, period, periods)
+	const lag = 2 * time.Minute
+	next, peak, outOfOrder := 0, 0, 0
+	var last netsim.FlowID = -1
+	for _, ra := range rr.Log.Reads() {
+		for ; next < len(recs) && recs[next].End+lag <= ra.End; next++ {
+			j.Join(&recs[next])
+		}
+		tally.Add(ra)
+		peak = max(peak, tally.Waiting())
+		if ra.Flow >= 0 {
+			if ra.Flow < last {
+				outOfOrder++
+			}
+			last = ra.Flow
+		}
+	}
+	for ; next < len(recs); next++ {
+		j.Join(&recs[next])
+	}
+	if peak == 0 || outOfOrder == 0 {
+		t.Fatalf("%d reads waited at the peak, %d arrived out of flow order: the schedule checks nothing", peak, outOfOrder)
+	}
+	if got := tally.Impact(); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, rep.Fig8.Days) {
+		t.Fatalf("online tally %+v, record-map oracle %+v, report %+v", got, want, rep.Fig8.Days)
+	}
 }

@@ -73,9 +73,10 @@ func SmallRun() RunConfig {
 
 // PaperRun returns the paper-scale configuration: 75 racks × 20 servers
 // and a full day. On a 2-CPU x86-64 host shared with other work,
-// simulating and analyzing it (dcanalyze -paper) took 28–40 s over six
-// runs, with 0.46–0.57 GB of peak live heap and 0.95–1.03 GiB of peak
-// RSS. See EXPERIMENTS.md "One simulate-and-analyze path".
+// simulating and analyzing it (dcanalyze -paper) took 25–28 s over three
+// runs, with 134–137 MB of peak live heap and 256–266 MiB of peak RSS.
+// See EXPERIMENTS.md "A fused run keeps no bins, reads or lifecycle
+// log".
 func PaperRun() RunConfig {
 	sc := sched.DefaultConfig()
 	sc.JobsPerHour = 900 // scale arrivals with cluster size
@@ -92,7 +93,11 @@ func PaperRun() RunConfig {
 	}
 }
 
-// RunResult carries everything a Run produced.
+// RunResult carries everything a Run produced. A RunAnalyze result
+// holds only what its analysis did not consume as the run went: no
+// Records, no read attempts in Log, and no link bins in Net's stats
+// below the episode tracker's frontier. In every run, Log counts the
+// job lifecycle records by type instead of keeping them.
 type RunResult struct {
 	Config    RunConfig
 	Top       *topology.Topology

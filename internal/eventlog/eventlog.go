@@ -6,6 +6,8 @@
 package eventlog
 
 import (
+	"math"
+
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/topology"
 )
@@ -79,11 +81,6 @@ type ReadAttempt struct {
 	Failed bool
 }
 
-// Overlaps reports whether the attempt's lifetime intersects [from, to).
-func (r ReadAttempt) Overlaps(from, to netsim.Time) bool {
-	return r.Start < to && r.End > from
-}
-
 // JobMembership records which servers ran vertices of which job and when;
 // it is the metadata the job-augmented tomography prior consumes (§5.3).
 // Phase records the vertex's role in the workflow, enabling the
@@ -100,55 +97,44 @@ type JobMembership struct {
 // Log accumulates application events for one simulation run. The zero
 // value is ready to use. It is not safe for concurrent use; the simulator
 // is single-threaded.
+//
+// Lifecycle records are counted by type, not kept: nothing reads them
+// but their counts. A log with a read sink (SetReadSink) keeps no read
+// attempts either.
 type Log struct {
-	records    []Record
-	reads      []ReadAttempt
+	counts     [math.MaxUint8 + 1]int // lifecycle records by EventType
+	reads      []ReadAttempt          // nil with a read sink
+	readSink   func(ReadAttempt)
 	membership []JobMembership
 }
 
-// Append adds a lifecycle record.
-func (l *Log) Append(r Record) { l.records = append(l.records, r) }
+// Append counts a lifecycle record.
+func (l *Log) Append(r Record) { l.counts[r.Type]++ }
 
-// AppendRead adds a read-attempt record.
-func (l *Log) AppendRead(r ReadAttempt) { l.reads = append(l.reads, r) }
+// AppendRead adds a read-attempt record, or hands it to the read sink.
+func (l *Log) AppendRead(r ReadAttempt) {
+	if l.readSink != nil {
+		l.readSink(r)
+		return
+	}
+	l.reads = append(l.reads, r)
+}
+
+// SetReadSink hands each read attempt appended from now on to fn instead
+// of keeping it, so Reads holds only those appended before; a nil fn
+// keeps them again. core's analysis sweep tallies a RunAnalyze run's
+// Figure 8 this way. fn runs inside the event loop and must not block.
+func (l *Log) SetReadSink(fn func(ReadAttempt)) { l.readSink = fn }
 
 // AppendMembership adds a job-membership record.
 func (l *Log) AppendMembership(m JobMembership) { l.membership = append(l.membership, m) }
 
-// Records returns all lifecycle records in append order.
-func (l *Log) Records() []Record { return l.records }
-
-// Reads returns all read attempts in append order.
+// Reads returns the kept read attempts in append order: nil for a log
+// whose reads went to a sink.
 func (l *Log) Reads() []ReadAttempt { return l.reads }
 
 // Membership returns all job-membership records.
 func (l *Log) Membership() []JobMembership { return l.membership }
 
 // CountType counts lifecycle records of the given type.
-func (l *Log) CountType(t EventType) int {
-	n := 0
-	for _, r := range l.records {
-		if r.Type == t {
-			n++
-		}
-	}
-	return n
-}
-
-// ReadFailureStats summarizes read attempts within [from, to):
-// total attempts, failures, and the failure probability.
-func (l *Log) ReadFailureStats(from, to netsim.Time) (attempts, failures int, p float64) {
-	for _, r := range l.reads {
-		if !r.Overlaps(from, to) {
-			continue
-		}
-		attempts++
-		if r.Failed {
-			failures++
-		}
-	}
-	if attempts > 0 {
-		p = float64(failures) / float64(attempts)
-	}
-	return attempts, failures, p
-}
+func (l *Log) CountType(t EventType) int { return l.counts[t] }

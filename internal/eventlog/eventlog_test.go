@@ -11,49 +11,32 @@ func TestAppendAndFilter(t *testing.T) {
 	l.Append(Record{Time: 2 * time.Second, Type: JobStarted, Job: 1})
 	l.Append(Record{Time: 5 * time.Second, Type: JobCompleted, Job: 1})
 	l.Append(Record{Time: 7 * time.Second, Type: JobSubmitted, Job: 2, Name: "j2"})
+	l.Append(Record{Type: EventType(99)})
 	if got := l.CountType(JobSubmitted); got != 2 {
 		t.Fatalf("CountType = %d, want 2", got)
 	}
-	if len(l.Records()) != 4 {
-		t.Fatalf("Records = %d", len(l.Records()))
+	if got := l.CountType(JobKilled); got != 0 {
+		t.Fatalf("CountType(JobKilled) = %d, want 0", got)
+	}
+	if got := l.CountType(EventType(99)); got != 1 {
+		t.Fatalf("CountType(99) = %d, want 1", got)
 	}
 }
 
-func TestReadFailureStats(t *testing.T) {
+// TestReadSink checks that a log with a read sink hands it every read
+// attempt appended afterwards and keeps none of them.
+func TestReadSink(t *testing.T) {
 	var l Log
-	l.AppendRead(ReadAttempt{Job: 1, Start: 1 * time.Second, End: 2 * time.Second, Failed: false})
-	l.AppendRead(ReadAttempt{Job: 1, Start: 3 * time.Second, End: 4 * time.Second, Failed: true})
-	l.AppendRead(ReadAttempt{Job: 2, Start: 10 * time.Second, End: 12 * time.Second, Failed: true})
-	a, f, p := l.ReadFailureStats(0, 5*time.Second)
-	if a != 2 || f != 1 || p != 0.5 {
-		t.Fatalf("stats = %d %d %v", a, f, p)
+	l.AppendRead(ReadAttempt{Job: 1, Flow: 4})
+	var sunk []ReadAttempt
+	l.SetReadSink(func(r ReadAttempt) { sunk = append(sunk, r) })
+	l.AppendRead(ReadAttempt{Job: 2, Flow: -1})
+	l.AppendRead(ReadAttempt{Job: 3, Flow: 7, Failed: true})
+	if len(l.Reads()) != 1 || l.Reads()[0].Job != 1 {
+		t.Fatalf("log kept %+v, want only the read appended before the sink", l.Reads())
 	}
-	a, f, p = l.ReadFailureStats(0, 20*time.Second)
-	if a != 3 || f != 2 {
-		t.Fatalf("full-window stats = %d %d %v", a, f, p)
-	}
-	a, _, p = l.ReadFailureStats(100*time.Second, 200*time.Second)
-	if a != 0 || p != 0 {
-		t.Fatalf("empty-window stats = %d %v", a, p)
-	}
-}
-
-func TestReadOverlaps(t *testing.T) {
-	r := ReadAttempt{Start: 2 * time.Second, End: 4 * time.Second}
-	cases := []struct {
-		from, to time.Duration
-		want     bool
-	}{
-		{0, 1 * time.Second, false},
-		{0, 2 * time.Second, false}, // half-open: ends exactly at start
-		{0, 3 * time.Second, true},
-		{3 * time.Second, 10 * time.Second, true},
-		{4 * time.Second, 10 * time.Second, false},
-	}
-	for _, c := range cases {
-		if got := r.Overlaps(c.from, c.to); got != c.want {
-			t.Errorf("Overlaps(%v,%v) = %v, want %v", c.from, c.to, got, c.want)
-		}
+	if len(sunk) != 2 || sunk[0].Job != 2 || !sunk[1].Failed {
+		t.Fatalf("sink got %+v", sunk)
 	}
 }
 

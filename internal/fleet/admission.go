@@ -90,13 +90,19 @@ func DefaultBudgetMB() int {
 // EstimatePeakMB is the admission controller's coarse, deterministic
 // peak-live-heap model for one fused RunAnalyze pipeline, derived from
 // what such a run keeps until it ends. A fused run keeps no flow
-// records: each joins the congestion episodes as the sweep delivers it,
-// and the sweep's window view holds only open windows' records. What
-// grows with the run is
+// records, read attempts or lifecycle records: each record joins the
+// congestion episodes as the sweep delivers it, each read attempt
+// counts once its flow has joined, and lifecycle records are only
+// counted. Its link stats keep the bins the episode tracker has not
+// scanned yet, about one simulator batch (a simulated minute) per
+// inter-switch link, and the sweep's window view holds only open
+// windows' records. What grows with the run is
 //
-//   - the inter-switch links' utilization bins, 8 bytes a bin per link;
-//   - the job event log (read attempts, lifecycle records, membership),
-//     about 100 bytes per flow the run completes;
+//   - the job event log's membership rows, one per completed vertex,
+//     which the tomography multipliers read: at most one 40-byte row
+//     per four flows;
+//   - the finished scheduler jobs and their compiled workflows, about
+//     32 bytes per flow;
 //   - the sweep's whole-run CDFs — Figure 9's three (one weighted, 16
 //     bytes a sample), the cluster, ToR and server inter-arrival gaps
 //     (the last two up to two samples per flow) and Figure 7's two — each
@@ -105,23 +111,29 @@ func DefaultBudgetMB() int {
 //   - one racks × racks ToR matrix per tomography window, parked until
 //     the run ends;
 //
-// on top of a base for the runtime, topology, store, scheduler, meter
-// and window view. Flows are estimated per job from the extents a job's
-// median batch input spans: the largest ratio measured, at laptop scale
-// (64 MiB extents), is 27 flows per extent; a paper day (256 MiB
-// extents) measured 13.5. Append growth leaves up to a quarter of each
-// growing slice unused. Jobs arrive at JobsPerHour over the whole
-// window, which overstates short laptop runs that start in the diurnal
-// trough. Depending only on the config, the same sweep always yields the
-// same admission schedule. EXPERIMENTS.md "A fused run keeps no
-// records" records the estimate against measured live heaps.
+// on top of a base for the runtime, topology, store, scheduler, meter,
+// window view and live seam, which grows with the servers. Flows are
+// estimated per job from the extents a job's median batch input spans:
+// the largest ratio measured, at laptop scale (64 MiB extents), is 27
+// flows per extent; a paper day (256 MiB extents) measured 13.5. Append
+// growth leaves up to a quarter of each growing slice unused. Jobs
+// arrive at JobsPerHour over the whole window, which overstates short
+// laptop runs that start in the diurnal trough. Not modeled: the
+// records a long-running flow holds behind the live seam's watermark,
+// with their read attempts waiting for the joins, which at the default
+// (wide) job sizes took a 24 h laptop run past the estimate. Depending
+// only on the config, the same sweep always yields the same admission
+// schedule. EXPERIMENTS.md "A fused run keeps no bins, reads or
+// lifecycle log" records the estimate against measured live heaps.
 func EstimatePeakMB(cfg core.RunConfig) int {
 	const (
-		baseMB          = 16
-		flowsPerExtent  = 27
-		logBytesPerFlow = 100
-		growth          = 1.25 // append slack
-		matrixEntry     = 24   // bytes per ToR-matrix entry
+		baseMB         = 16
+		serverBytes    = 16 << 10 // topology, store and scheduler per server
+		flowsPerExtent = 27
+		memberPerFlow  = 40.0 / 4 // membership bytes per flow
+		jobPerFlow     = 32       // finished-job bytes per flow
+		growth         = 1.25     // append slack
+		matrixEntry    = 24       // bytes per ToR-matrix entry
 	)
 	tc := cfg.Topology
 	torLinks := tc.Racks
@@ -133,8 +145,9 @@ func EstimatePeakMB(cfg core.RunConfig) int {
 	if binSize <= 0 {
 		binSize = time.Second
 	}
-	horizon := cfg.Duration + cfg.DrainTime
-	bins := float64((horizon + binSize - 1) / binSize)
+	// A batch of bins past the frontier, the partial ones at either end,
+	// and append slack up to twice that.
+	tailBins := 2 * float64(time.Minute/binSize+2)
 
 	jobsPerHour := cfg.Sched.JobsPerHour
 	if jobsPerHour <= 0 {
@@ -161,8 +174,9 @@ func EstimatePeakMB(cfg core.RunConfig) int {
 	opts := core.AnalyzeOptions{}.ApplyDefaults(cfg.Duration)
 	tomoWindows := min(int((cfg.Duration+opts.TomoBin-1)/opts.TomoBin), opts.TomoMaxTMs)
 
-	bytes := float64(links)*bins*8*growth +
-		flows*logBytesPerFlow*growth +
+	bytes := float64(tc.Racks*tc.ServersPerRack)*serverBytes +
+		float64(links)*tailBins*8 +
+		flows*(memberPerFlow*growth+jobPerFlow) +
 		cdfBytes*growth +
 		float64(tomoWindows)*float64(tc.Racks*tc.Racks)*matrixEntry
 	return baseMB + int(bytes/(1<<20))

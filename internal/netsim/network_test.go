@@ -241,6 +241,54 @@ func TestLinkStatsBinning(t *testing.T) {
 	}
 }
 
+// TestLinkStatsDropBelow drops the final bins of a network as it runs,
+// as a run whose episode tracker is their only reader does, and checks
+// that the bins kept are exactly the tail of an identical network's
+// that kept every bin, and that accrual after a drop lands in the
+// right bins, idle links included.
+func TestLinkStatsDropBelow(t *testing.T) {
+	top := topology.MustNew(topology.SmallConfig())
+	opts := Options{StatsBinSize: 250 * time.Millisecond}
+	drop, keep := New(top, opts), New(top, opts)
+	for _, n := range []*Network{drop, keep} {
+		for i := 0; i < 6; i++ {
+			at := Time(i) * 1500 * time.Millisecond
+			src, dst := topology.ServerID(i), topology.ServerID(40+i*5)
+			n.Schedule(at, func() { n.StartFlow(src, dst, 150_000_000, FlowTag{}, nil) })
+		}
+	}
+	st, full := drop.Stats(), keep.Stats()
+	for at := 700 * time.Millisecond; at <= 15*time.Second; at += 700 * time.Millisecond {
+		drop.Run(at)
+		keep.Run(at)
+		st.DropBelow(int(drop.LastAccrual() / st.BinSize()))
+		for _, l := range st.TrackedLinks() {
+			if n := len(st.Bytes(l)); n > 1 {
+				t.Fatalf("at %v link %d keeps %d bins", at, l, n)
+			}
+		}
+	}
+	drop.RunAll()
+	keep.RunAll()
+	if st.First() == 0 {
+		t.Fatal("nothing was dropped")
+	}
+	bins := full.Bins()
+	for _, l := range st.TrackedLinks() {
+		all := full.Bytes(l)
+		want := all[min(st.First(), len(all)):]
+		if got := st.Bytes(l); !slices.Equal(got, want) {
+			t.Fatalf("link %d keeps bins %v, want the tail %v from bin %d", l, got, want, st.First())
+		}
+		util, fullUtil := st.Utilization(l, 1e9, bins), full.Utilization(l, 1e9, bins)
+		for i := range util {
+			if i >= st.First() && util[i] != fullUtil[i] || i < st.First() && util[i] != 0 {
+				t.Fatalf("link %d bin %d utilization %v, kept-bins network %v", l, i, util[i], fullUtil[i])
+			}
+		}
+	}
+}
+
 func TestStatsTrackedLinks(t *testing.T) {
 	top := topology.MustNew(topology.SmallConfig())
 	st := New(top, Options{StatsBinSize: time.Second}).Stats()

@@ -8,10 +8,15 @@ import (
 // tracked subset of links. These are the simulator's equivalent of SNMP
 // interface byte counters: congestion analysis derives utilization from
 // them, and tomography uses them as its only input.
+//
+// A run whose bins have one reader that scans them as they become final
+// (core.RunAnalyze's episode tracker) drops the scanned ones
+// (DropBelow), so it keeps a few bins per link instead of the whole run.
 type LinkStats struct {
 	binSize Time
 	tracked []bool      // indexed by LinkID
-	bytes   [][]float64 // bytes per bin, indexed by LinkID; nil if untracked
+	bytes   [][]float64 // bytes per bin from bin first on, indexed by LinkID; nil if untracked
+	first   int         // the bins below it are dropped
 }
 
 func newLinkStats(binSize Time, numLinks int, links []topology.LinkID) *LinkStats {
@@ -57,17 +62,18 @@ func (s *LinkStats) record(id topology.LinkID, from, to Time, rateB float64) {
 		if binEnd > to {
 			binEnd = to
 		}
-		for len(bins) <= bin {
+		i := bin - s.first
+		for len(bins) <= i {
 			bins = append(bins, 0)
 		}
-		bins[bin] += rateB * (binEnd - t).Seconds()
+		bins[i] += rateB * (binEnd - t).Seconds()
 		t = binEnd
 	}
 	s.bytes[id] = bins
 }
 
-// Bytes returns the per-bin byte counts of a link (shared slice; do not
-// modify). Untracked links return nil.
+// Bytes returns the per-bin byte counts of a link from bin First() on
+// (shared slice; do not modify). Untracked links return nil.
 func (s *LinkStats) Bytes(id topology.LinkID) []float64 {
 	if int(id) >= len(s.bytes) {
 		return nil
@@ -75,7 +81,28 @@ func (s *LinkStats) Bytes(id topology.LinkID) []float64 {
 	return s.bytes[id]
 }
 
-// Bins reports the number of bins recorded so far across all links.
+// First reports the first bin still kept: Bytes(id)[0] is bin First().
+// It is 0 until DropBelow drops bins.
+func (s *LinkStats) First() int { return s.first }
+
+// DropBelow discards every link's bins below bin, which must be final:
+// no accrual may land below it again, so bin·BinSize must not lie past
+// Network.LastAccrual. Only a reader that has already scanned those bins
+// may ask for this; afterwards Bytes starts at bin.
+func (s *LinkStats) DropBelow(bin int) {
+	k := bin - s.first
+	if k <= 0 {
+		return
+	}
+	for id, bins := range s.bytes {
+		n := copy(bins, bins[min(k, len(bins)):])
+		s.bytes[id] = bins[:n]
+	}
+	s.first = bin
+}
+
+// Bins reports the number of bins recorded so far across all links,
+// dropped ones included.
 func (s *LinkStats) Bins() int {
 	n := 0
 	for _, b := range s.bytes {
@@ -83,12 +110,12 @@ func (s *LinkStats) Bins() int {
 			n = len(b)
 		}
 	}
-	return n
+	return s.first + n
 }
 
 // Utilization converts a link's byte bins to utilization in [0, ~1]
 // against the given capacity (bits/sec). The result has exactly bins
-// entries, zero-padded beyond recorded data.
+// entries, zero-padded beyond recorded data and below First().
 func (s *LinkStats) Utilization(id topology.LinkID, capacityBps float64, bins int) []float64 {
 	out := make([]float64, bins)
 	capB := capacityBps / 8 * s.binSize.Seconds()
@@ -96,10 +123,10 @@ func (s *LinkStats) Utilization(id topology.LinkID, capacityBps float64, bins in
 		return out
 	}
 	for i, b := range s.Bytes(id) {
-		if i >= bins {
+		if s.first+i >= bins {
 			break
 		}
-		out[i] = b / capB
+		out[s.first+i] = b / capB
 	}
 	return out
 }

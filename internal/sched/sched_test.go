@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -154,7 +155,12 @@ func TestJobKilledWhenReadsAlwaysFail(t *testing.T) {
 		t.Fatal("missing JobKilled record")
 	}
 	// Failed read attempts must be logged for Figure 8 analysis.
-	_, failures, _ := log.ReadFailureStats(0, time.Hour)
+	failures := 0
+	for _, r := range log.Reads() {
+		if r.Failed {
+			failures++
+		}
+	}
 	if failures == 0 {
 		t.Fatal("no failed read attempts logged")
 	}
@@ -196,16 +202,20 @@ func TestWorkloadRun(t *testing.T) {
 }
 
 func TestWorkloadDeterminism(t *testing.T) {
-	run := func() (int64, int) {
+	run := func() (int64, []int) {
 		cl, net, log := testRig(42)
 		cl.Start(20 * time.Minute)
 		net.Run(40 * time.Minute)
-		return net.FlowsStarted(), len(log.Records())
+		var counts []int
+		for e := eventlog.JobSubmitted; e <= eventlog.EvacuationCompleted; e++ {
+			counts = append(counts, log.CountType(e))
+		}
+		return net.FlowsStarted(), counts
 	}
 	f1, r1 := run()
 	f2, r2 := run()
-	if f1 != f2 || r1 != r2 {
-		t.Fatalf("workload not deterministic: (%d,%d) vs (%d,%d)", f1, r1, f2, r2)
+	if f1 != f2 || !slices.Equal(r1, r2) {
+		t.Fatalf("workload not deterministic: (%d,%v) vs (%d,%v)", f1, r1, f2, r2)
 	}
 }
 

@@ -205,6 +205,9 @@ func (c *Collector) FlowEnded(f *netsim.Flow) {
 // not block.
 func (c *Collector) SetSink(fn func(FlowRecord)) { c.sink = fn }
 
+// HasSink reports whether the collector hands its records to a sink.
+func (c *Collector) HasSink() bool { return c.sink != nil }
+
 func (c *Collector) account(s topology.ServerID, events, bytes int64) {
 	if c.top.IsExternal(s) {
 		return
